@@ -34,9 +34,8 @@
 //! and all changed area lies inside the changed circles' bboxes. The
 //! tile cache consumes the dirty region to invalidate only intersecting
 //! tiles (`rnnhm_heatmap::tiles`), the scanline engine re-renders only
-//! the dirty pixel windows, and the facade updates labeled regions via
-//! the measure delta hooks
-//! ([`crate::measure::InfluenceMeasure::influence_delta`]).
+//! the dirty pixel windows, and an engine session drops its labeled
+//! regions (the next region query re-sweeps).
 //!
 //! ## Bit-identity with a from-scratch rebuild
 //!
@@ -183,38 +182,6 @@ pub enum Shape {
     Square(Rect),
     /// A Euclidean disk NN-circle.
     Disk(Circle),
-}
-
-impl Shape {
-    /// Whether every interior point of `rect` lies inside the closed
-    /// shape (`rect` in the shape's own coordinate space).
-    pub fn covers_rect(&self, rect: &Rect) -> bool {
-        match self {
-            Shape::Square(s) => s.contains_rect(rect),
-            Shape::Disk(d) => {
-                d.contains_closed(Point::new(rect.x_lo, rect.y_lo))
-                    && d.contains_closed(Point::new(rect.x_lo, rect.y_hi))
-                    && d.contains_closed(Point::new(rect.x_hi, rect.y_lo))
-                    && d.contains_closed(Point::new(rect.x_hi, rect.y_hi))
-            }
-        }
-    }
-
-    /// Whether no interior point of `rect` lies inside the closed shape.
-    pub fn misses_rect(&self, rect: &Rect) -> bool {
-        match self {
-            // Sharing only a boundary still counts as a miss: interior
-            // points are strictly beyond the shared edge.
-            Shape::Square(s) => {
-                !(s.x_lo < rect.x_hi
-                    && rect.x_lo < s.x_hi
-                    && s.y_lo < rect.y_hi
-                    && rect.y_lo < s.y_hi)
-            }
-            // Conservative for disks: require strict clearance.
-            Shape::Disk(d) => rect.dist2_to_point(d.c) > d.r,
-        }
-    }
 }
 
 /// One changed NN-circle: the owning client and its shape before and
@@ -729,22 +696,5 @@ mod tests {
         assert!(d.rects().len() <= MAX_DIRTY_RECTS);
         assert!(d.intersects(&Rect::new(990.2, 990.8, -499.5, -499.4)));
         assert!(d.bbox().unwrap().contains_rect(&Rect::new(0.0, 2.0, 0.0, 2.0)));
-    }
-
-    #[test]
-    fn shape_rect_relations() {
-        let sq = Shape::Square(Rect::new(0.0, 4.0, 0.0, 4.0));
-        assert!(sq.covers_rect(&Rect::new(1.0, 3.0, 1.0, 3.0)));
-        assert!(sq.covers_rect(&Rect::new(0.0, 4.0, 0.0, 4.0)), "closed cover");
-        assert!(sq.misses_rect(&Rect::new(4.0, 5.0, 0.0, 4.0)), "shared edge is a miss");
-        assert!(sq.misses_rect(&Rect::new(9.0, 10.0, 9.0, 10.0)));
-        assert!(!sq.covers_rect(&Rect::new(3.0, 5.0, 0.0, 1.0)));
-        assert!(!sq.misses_rect(&Rect::new(3.0, 5.0, 0.0, 1.0)));
-        let dk = Shape::Disk(Circle::new(Point::new(0.0, 0.0), 2.0));
-        assert!(dk.covers_rect(&Rect::new(-1.0, 1.0, -1.0, 1.0)));
-        assert!(dk.misses_rect(&Rect::new(3.0, 4.0, 3.0, 4.0)));
-        let straddle = Rect::new(1.0, 3.0, -0.5, 0.5);
-        assert!(!dk.covers_rect(&straddle));
-        assert!(!dk.misses_rect(&straddle));
     }
 }

@@ -38,41 +38,6 @@ pub trait InfluenceMeasure {
         self.influence(&all)
     }
 
-    /// *Delta hook*: the influence of a region after a small,
-    /// known change to its RNN set — `added` entered, `removed` left —
-    /// given the previous membership `old_rnn` and its previous
-    /// influence `old_influence`.
-    ///
-    /// What-if facility edits (`crate::edit::DynamicArrangement`)
-    /// change few NN-circles, so most surviving labeled regions see a
-    /// tiny membership delta; this hook lets their values update
-    /// without re-evaluating the measure on the whole set. The default
-    /// rebuilds the new membership list and recomputes — always
-    /// correct, `O(|R|)`. Decomposable measures override it with `O(Δ)`
-    /// arithmetic:
-    ///
-    /// * [`CountMeasure`]: `old + |added| − |removed|` (exact),
-    /// * [`WeightedMeasure`]: `old + Σw(added) − Σw(removed)` — exact
-    ///   when the weights sum exactly (dyadic rationals), otherwise up
-    ///   to f64 rounding of the delta order, mirroring the
-    ///   [`IncrementalMeasure`] contract.
-    ///
-    /// Callers must ensure `added` entries are not in `old_rnn` and
-    /// `removed` entries are (each at most once).
-    fn influence_delta(
-        &self,
-        old_influence: f64,
-        old_rnn: &[u32],
-        added: &[u32],
-        removed: &[u32],
-    ) -> f64 {
-        let _ = old_influence;
-        let mut rnn: Vec<u32> =
-            old_rnn.iter().copied().filter(|id| !removed.contains(id)).collect();
-        rnn.extend_from_slice(added);
-        self.influence(&rnn)
-    }
-
     /// An admissible optimistic bound computable from the sweep's *raw*
     /// emission of a region's RNN set — unordered and possibly
     /// containing duplicates, i.e. *before* the canonical sort/dedup of
@@ -82,7 +47,10 @@ pub trait InfluenceMeasure {
     /// The streaming argmax of `crate::placement` uses it to skip
     /// canonicalizing (sorting + deduplicating) regions that cannot
     /// beat the incumbent best, which is what makes a full-arrangement
-    /// argmax sweep cheap at scale. The default — no bound — is always
+    /// argmax sweep cheap at scale; `Session::top_k` streams through
+    /// [`crate::sink::TopKSink::with_bound`] the same way. Both rely on
+    /// the bound from any one emission of a set covering the influence
+    /// of every emission of it. The default — no bound — is always
     /// admissible and simply disables that skip. Only override with
     /// duplicate-insensitive, rounding-safe bounds (e.g. a count);
     /// order-dependent f64 accumulations (a weight sum) can round an
@@ -273,19 +241,6 @@ impl InfluenceMeasure for CountMeasure {
     }
 
     #[inline]
-    fn influence_delta(
-        &self,
-        old_influence: f64,
-        _old_rnn: &[u32],
-        added: &[u32],
-        removed: &[u32],
-    ) -> f64 {
-        // Counts below 2^53 are exact in f64, so the delta is bitwise
-        // equal to a recount.
-        old_influence + added.len() as f64 - removed.len() as f64
-    }
-
-    #[inline]
     fn raw_upper_bound(&self, raw: &[u32]) -> f64 {
         // Duplicates only inflate the length, so this stays admissible
         // (and is exact when the emission is duplicate-free).
@@ -346,20 +301,6 @@ impl InfluenceMeasure for WeightedMeasure {
     #[inline]
     fn influence(&self, rnn: &[u32]) -> f64 {
         rnn.iter().map(|&id| self.weights[id as usize]).sum()
-    }
-
-    fn influence_delta(
-        &self,
-        old_influence: f64,
-        _old_rnn: &[u32],
-        added: &[u32],
-        removed: &[u32],
-    ) -> f64 {
-        // Exact when the weights sum exactly (dyadic rationals);
-        // otherwise within f64 rounding of the delta order.
-        let gain: f64 = added.iter().map(|&id| self.weights[id as usize]).sum();
-        let loss: f64 = removed.iter().map(|&id| self.weights[id as usize]).sum();
-        old_influence + gain - loss
     }
 
     fn cache_key(&self) -> u64 {
@@ -830,64 +771,6 @@ mod tests {
         assert_eq!(count, CountMeasure.cache_key());
         // The fallback wrapper computes the same function → same key.
         assert_eq!(ExactFallback(CountMeasure).cache_key(), count);
-    }
-
-    /// Exercises `influence_delta` for a measure against from-scratch
-    /// recomputation across random membership deltas.
-    fn check_delta_hook<M: InfluenceMeasure>(measure: &M, universe: u32, seed: u64, exact: bool) {
-        let mut rng_state = seed;
-        let mut next = |m: u64| {
-            rng_state =
-                rng_state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (rng_state >> 33) % m
-        };
-        for _ in 0..100 {
-            // A random old set, then disjoint added/removed picks.
-            let mut old: Vec<u32> = Vec::new();
-            for id in 0..universe {
-                if next(2) == 0 {
-                    old.push(id);
-                }
-            }
-            let mut added = Vec::new();
-            let mut removed = Vec::new();
-            for id in 0..universe {
-                if old.contains(&id) {
-                    if next(4) == 0 {
-                        removed.push(id);
-                    }
-                } else if next(4) == 0 {
-                    added.push(id);
-                }
-            }
-            let old_influence = measure.influence(&old);
-            let got = measure.influence_delta(old_influence, &old, &added, &removed);
-            let mut new: Vec<u32> =
-                old.iter().copied().filter(|id| !removed.contains(id)).collect();
-            new.extend_from_slice(&added);
-            let expect = measure.influence(&new);
-            if exact {
-                assert!(
-                    got.to_bits() == expect.to_bits(),
-                    "delta {got} != recompute {expect} (old {old:?} +{added:?} -{removed:?})"
-                );
-            } else {
-                assert!((got - expect).abs() < 1e-9, "delta {got} vs recompute {expect}");
-            }
-        }
-    }
-
-    #[test]
-    fn delta_hooks_match_recompute() {
-        check_delta_hook(&CountMeasure, 30, 1, true);
-        // Dyadic weights: the weighted override is bit-exact too.
-        let weights: Vec<f64> = (0..30).map(|i| (i % 11) as f64 * 0.25).collect();
-        check_delta_hook(&WeightedMeasure::new(weights), 30, 2, true);
-        // Default implementations (capacity, connectivity) recompute.
-        let assigned: Vec<u32> = (0..30).map(|i| i % 4).collect();
-        check_delta_hook(&CapacityMeasure::new(assigned, vec![2, 1, 3, 2], 2), 30, 3, true);
-        let edges: Vec<(u32, u32)> = (0..30u32).map(|a| (a, (a + 1) % 30)).collect();
-        check_delta_hook(&ConnectivityMeasure::from_edges(30, &edges), 30, 4, true);
     }
 
     #[test]

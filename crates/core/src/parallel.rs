@@ -73,7 +73,7 @@ impl MergeableSink for MaxSink {
     }
 }
 
-impl MergeableSink for TopKSink {
+impl<B: Fn(&[u32]) -> f64 + Send> MergeableSink for TopKSink<B> {
     fn merge(&mut self, other: Self) {
         for r in other.into_top() {
             self.label(r.rect, &r.rnn, r.influence);
@@ -412,8 +412,8 @@ mod tests {
         let mut seq = TopKSink::new(5);
         crest_sweep(&arr, &CountMeasure, &mut seq);
         let (par, _) = parallel_crest_uncapped(&arr, &CountMeasure, 3, false, || TopKSink::new(5));
-        let seq_top: Vec<f64> = seq.top().iter().map(|r| r.influence).collect();
-        let par_top: Vec<f64> = par.top().iter().map(|r| r.influence).collect();
+        let seq_top: Vec<f64> = seq.into_top().iter().map(|r| r.influence).collect();
+        let par_top: Vec<f64> = par.into_top().iter().map(|r| r.influence).collect();
         assert_eq!(seq_top, par_top, "top-k influences differ");
     }
 }

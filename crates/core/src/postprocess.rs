@@ -7,45 +7,19 @@
 //! ([`crate::sink::TopKSink`], [`crate::sink::ThresholdSink`]); this
 //! module offers the batch equivalents over collected regions.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
 use crate::oracle::signature;
-use crate::sink::LabeledRegion;
+use crate::sink::{LabeledRegion, RegionSink, TopKSink};
 
 /// The `k` most influential regions, deduplicated by RNN-set signature,
-/// most influential first. Ties are broken by first occurrence.
-///
-/// Dense arrangements emit tens of thousands of labels, so the dedup
-/// must not scan the distinct-signature set per label — a hash map
-/// keyed by signature keeps this O(m) in the label count (the old
-/// linear-scan dedup held an HTTP serving worker for ~50 s at n=20k).
+/// most influential first: the labels replayed through an unbounded
+/// [`TopKSink`], so ties are broken by first occurrence and each
+/// signature keeps the first region achieving its maximum influence.
 pub fn top_k(regions: &[LabeledRegion], k: usize) -> Vec<LabeledRegion> {
-    // `order[slot]` is the best region index seen for the slot's
-    // signature; slots are allocated in first-occurrence order so the
-    // stable sort below breaks influence ties the same way the old
-    // linear scan did.
-    let mut by_sig: HashMap<Vec<u32>, usize> = HashMap::new();
-    let mut order: Vec<usize> = Vec::new();
-    for (i, r) in regions.iter().enumerate() {
-        let sig = signature(&r.rnn);
-        match by_sig.entry(sig) {
-            Entry::Occupied(slot) => {
-                let best = &mut order[*slot.get()];
-                if regions[*best].influence < r.influence {
-                    *best = i;
-                }
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(order.len());
-                order.push(i);
-            }
-        }
+    let mut sink = TopKSink::new(k);
+    for r in regions {
+        sink.label(r.rect, &r.rnn, r.influence);
     }
-    let mut picked: Vec<LabeledRegion> = order.into_iter().map(|i| regions[i].clone()).collect();
-    picked.sort_by(|a, b| b.influence.partial_cmp(&a.influence).expect("finite influence"));
-    picked.truncate(k);
-    picked
+    sink.into_top()
 }
 
 /// Regions with influence at or above `min_influence`, in input order.

@@ -6,7 +6,11 @@
 //! makes the interactive post-processing operations of §I (top-k regions,
 //! thresholding) ordinary sink implementations.
 
+use std::collections::HashMap;
+
 use rnnhm_geom::Rect;
+
+use crate::arrangement::fnv1a_words;
 
 /// One labeled region.
 ///
@@ -75,65 +79,218 @@ impl RegionSink for MaxSink {
     }
 }
 
-/// Keeps the `k` most influential regions (the paper's "regions having the
-/// top-k heat values" post-processing).
+/// Keeps the `k` most influential regions, deduplicated by RNN set: the
+/// paper's "regions having the top-k heat values" post-processing, and
+/// the crate's one exact top-k ([`crate::postprocess::top_k`] replays a
+/// label list through it).
 ///
-/// Note that CREST may label one region several times (bounded by Lemma 3);
-/// duplicates with identical RNN sets are collapsed by keeping the sink's
-/// entries unique on the RNN-set signature.
+/// The answer is a function of the label stream. Labels group by RNN-set
+/// signature ([`crate::oracle::signature`]); CREST may label one region
+/// several times (bounded by Lemma 3), and those labels collapse into one
+/// entry. Each signature is represented by the first label carrying its
+/// highest influence, and the signatures are ranked by that influence,
+/// descending, with ties broken by the signature's first occurrence.
+///
+/// A label is canonicalized (sorted into a scratch buffer, FNV-hashed and
+/// confirmed against the tracked signatures with that hash) unless its
+/// bound says it cannot reach the current `k`-th best. The sink allocates
+/// once per tracked signature, never once per label. With a bound that
+/// prunes (a count's), a signature is tracked only once one of its labels
+/// could still reach the `k`-th best.
 #[derive(Debug, Clone)]
-pub struct TopKSink {
+pub struct TopKSink<B = fn(&[u32]) -> f64> {
     k: usize,
-    /// Regions sorted descending by influence, at most `k` of them.
-    entries: Vec<LabeledRegion>,
+    /// Upper bound on the influence of every label of a set, from any
+    /// one of its raw (unsorted) emissions.
+    bound: B,
+    scratch: Vec<u32>,
+    /// Every tracked signature, back to back.
+    arena: Vec<u32>,
+    /// Signature hash → most recently tracked slot with that hash.
+    by_hash: HashMap<u64, usize>,
+    /// Tracked signatures in first-occurrence order.
+    slots: Vec<Slot>,
+    /// The current top `k` (by influence, then slot), unordered.
+    top: Vec<Ranked>,
+    /// Index into `top` of its last-ranked entry, once `top` holds `k`.
+    worst: usize,
+}
+
+/// "No slot" in a hash chain, "not retained" in [`Slot::rank`].
+const NONE: usize = usize::MAX;
+
+/// One distinct signature tracked by a [`TopKSink`].
+#[derive(Debug, Clone)]
+struct Slot {
+    /// The signature is `arena[start..start + len]`.
+    start: usize,
+    len: usize,
+    /// Highest influence seen for the signature.
+    best: f64,
+    /// Next slot in this slot's hash chain.
+    next: usize,
+    /// Index into `TopKSink::top`, or [`NONE`].
+    rank: usize,
+}
+
+/// A retained region and the slot it represents.
+#[derive(Debug, Clone)]
+struct Ranked {
+    slot: usize,
+    region: LabeledRegion,
+}
+
+/// The bound of [`TopKSink::new`]: none, so no label is skipped.
+fn unbounded(_: &[u32]) -> f64 {
+    f64::INFINITY
 }
 
 impl TopKSink {
-    /// Creates a sink retaining the top `k` regions.
+    /// A sink retaining the top `k` regions that canonicalizes every
+    /// label (`k = 0` retains nothing).
     pub fn new(k: usize) -> Self {
-        assert!(k > 0, "k must be positive");
-        TopKSink { k, entries: Vec::with_capacity(k + 1) }
+        TopKSink::with_bound(k, unbounded)
+    }
+}
+
+impl<B: Fn(&[u32]) -> f64> TopKSink<B> {
+    /// A sink retaining the top `k` regions that skips a label without
+    /// canonicalizing it when `bound(rnn)` is strictly below the current
+    /// `k`-th best influence.
+    ///
+    /// `bound` must hold for every emission of a set: for any two labels
+    /// `a`, `b` with the same signature, `bound(a.rnn) >= b.influence`.
+    /// [`crate::measure::InfluenceMeasure::raw_upper_bound`] qualifies
+    /// (for a count it is the set's length; the default, `∞`, skips
+    /// nothing). Under that contract the answer equals [`TopKSink::new`]'s
+    /// for the same labels, bit for bit.
+    pub fn with_bound(k: usize, bound: B) -> Self {
+        TopKSink {
+            k,
+            bound,
+            scratch: Vec::new(),
+            arena: Vec::new(),
+            by_hash: HashMap::new(),
+            slots: Vec::new(),
+            top: Vec::new(),
+            worst: 0,
+        }
     }
 
     /// The retained regions, most influential first.
     pub fn into_top(self) -> Vec<LabeledRegion> {
-        self.entries
+        let mut top = self.top;
+        top.sort_by(|a, b| {
+            b.region
+                .influence
+                .partial_cmp(&a.region.influence)
+                .expect("finite influence")
+                .then(a.slot.cmp(&b.slot))
+        });
+        top.into_iter().map(|r| r.region).collect()
     }
 
-    /// Borrows the retained regions, most influential first.
-    pub fn top(&self) -> &[LabeledRegion] {
-        &self.entries
-    }
-
-    fn signature_eq(a: &[u32], b: &[u32]) -> bool {
-        if a.len() != b.len() {
-            return false;
+    /// The slot of `rnn`'s signature, tracking it (with `influence` as
+    /// its best) if new; the flag says whether it was.
+    fn track(&mut self, rnn: &[u32], influence: f64) -> (usize, bool) {
+        let Self { scratch, arena, by_hash, slots, .. } = self;
+        scratch.clear();
+        scratch.extend_from_slice(rnn);
+        scratch.sort_unstable();
+        let head = by_hash.entry(fnv1a_words(scratch.iter().map(|&c| c as u64))).or_insert(NONE);
+        let mut at = *head;
+        while at != NONE {
+            let s = &slots[at];
+            if arena[s.start..s.start + s.len] == scratch[..] {
+                return (at, false);
+            }
+            at = s.next;
         }
-        let mut sa = a.to_vec();
-        let mut sb = b.to_vec();
-        sa.sort_unstable();
-        sb.sort_unstable();
-        sa == sb
+        let slot = slots.len();
+        slots.push(Slot {
+            start: arena.len(),
+            len: scratch.len(),
+            best: influence,
+            next: *head,
+            rank: NONE,
+        });
+        arena.extend_from_slice(scratch);
+        *head = slot;
+        (slot, true)
+    }
+
+    /// Ranks `slot`, whose best influence just became `influence` at
+    /// this label: the label is now its representative.
+    fn offer(&mut self, slot: usize, rect: Rect, rnn: &[u32], influence: f64) {
+        let rank = self.slots[slot].rank;
+        if rank != NONE {
+            represent(&mut self.top[rank].region, rect, rnn, influence);
+            if self.top.len() == self.k && rank == self.worst {
+                self.worst = self.last_ranked();
+            }
+            return;
+        }
+        if self.top.len() < self.k {
+            self.slots[slot].rank = self.top.len();
+            let region = LabeledRegion { rect, rnn: rnn.to_vec(), influence };
+            self.top.push(Ranked { slot, region });
+            if self.top.len() == self.k {
+                self.worst = self.last_ranked();
+            }
+            return;
+        }
+        let worst = &self.top[self.worst];
+        let floor = worst.region.influence;
+        if !(influence > floor || (influence == floor && slot < worst.slot)) {
+            return;
+        }
+        self.slots[worst.slot].rank = NONE;
+        self.slots[slot].rank = self.worst;
+        let entry = &mut self.top[self.worst];
+        entry.slot = slot;
+        represent(&mut entry.region, rect, rnn, influence);
+        self.worst = self.last_ranked();
+    }
+
+    /// Index into `top` of the entry ranked last.
+    fn last_ranked(&self) -> usize {
+        let mut last = 0;
+        for (i, e) in self.top.iter().enumerate().skip(1) {
+            let l = &self.top[last];
+            let (a, b) = (e.region.influence, l.region.influence);
+            if a < b || (a == b && e.slot > l.slot) {
+                last = i;
+            }
+        }
+        last
     }
 }
 
-impl RegionSink for TopKSink {
+/// Overwrites `region` with a label, reusing its RNN buffer.
+fn represent(region: &mut LabeledRegion, rect: Rect, rnn: &[u32], influence: f64) {
+    region.rect = rect;
+    region.rnn.clear();
+    region.rnn.extend_from_slice(rnn);
+    region.influence = influence;
+}
+
+impl<B: Fn(&[u32]) -> f64> RegionSink for TopKSink<B> {
     fn label(&mut self, rect: Rect, rnn: &[u32], influence: f64) {
-        if self.entries.len() == self.k
-            && influence <= self.entries.last().expect("k > 0").influence
+        if self.top.len() == self.k
+            && (self.k == 0 || (self.bound)(rnn) < self.top[self.worst].region.influence)
         {
             return;
         }
-        // Collapse relabelings of the same region (same RNN set).
-        if let Some(existing) = self.entries.iter().position(|e| Self::signature_eq(&e.rnn, rnn)) {
-            if self.entries[existing].influence >= influence {
-                return;
+        let slot = match self.track(rnn, influence) {
+            (slot, true) => slot,
+            (slot, false) if influence > self.slots[slot].best => {
+                self.slots[slot].best = influence;
+                slot
             }
-            self.entries.remove(existing);
-        }
-        let pos = self.entries.partition_point(|e| e.influence >= influence);
-        self.entries.insert(pos, LabeledRegion { rect, rnn: rnn.to_vec(), influence });
-        self.entries.truncate(self.k);
+            // Not above the signature's best: its first label stands.
+            _ => return,
+        };
+        self.offer(slot, rect, rnn, influence);
     }
 }
 

@@ -818,11 +818,18 @@ fn run_bands<F: Fn(std::ops::Range<usize>, &mut [f64]) + Sync>(
 /// cost: bands are clamped so each holds at least this many rows.
 const MIN_ROWS_PER_BAND: usize = 32;
 
-/// Worker count for an `h`-row raster: all cores, but never bands
-/// smaller than [`MIN_ROWS_PER_BAND`] rows (tiny rasters run
-/// single-threaded — thread spawn would dominate the fill).
+/// Worker count for an `h`-row raster on this machine; see
+/// [`band_count`].
 fn default_bands(h: usize) -> usize {
-    effective_parallelism().min(h.div_ceil(MIN_ROWS_PER_BAND)).max(1)
+    band_count(h, effective_parallelism())
+}
+
+/// Worker count for an `h`-row raster on `cores` cores: one band per
+/// core, but never a band smaller than [`MIN_ROWS_PER_BAND`] rows
+/// (tiny rasters run single-threaded — thread spawn would dominate the
+/// fill), and always at least one.
+fn band_count(h: usize, cores: usize) -> usize {
+    cores.min(h / MIN_ROWS_PER_BAND).max(1)
 }
 
 /// Scanline rasterization of a square arrangement (L∞ or rotated L1),
@@ -1213,6 +1220,32 @@ mod tests {
             let b = default_bands(h);
             assert!(b >= 1 && b <= effective_parallelism().max(1));
             assert!(h.div_ceil(b) >= MIN_ROWS_PER_BAND.min(h));
+        }
+    }
+
+    #[test]
+    fn band_count_clamps_at_any_core_count() {
+        // (h, bands on 1, 2 and 8 cores)
+        let cases = [
+            (0usize, [1usize, 1, 1]),
+            (1, [1, 1, 1]),
+            (31, [1, 1, 1]),
+            (32, [1, 1, 1]),
+            (33, [1, 1, 1]),
+            (63, [1, 1, 1]),
+            (64, [1, 2, 2]),
+            (96, [1, 2, 3]),
+            (255, [1, 2, 7]),
+            (256, [1, 2, 8]),
+            (1024, [1, 2, 8]),
+        ];
+        for (h, want) in cases {
+            for (cores, want) in [1, 2, 8].into_iter().zip(want) {
+                let b = band_count(h, cores);
+                assert_eq!(b, want, "h={h}, {cores} cores");
+                // Every band keeps the minimum, unless there is only one.
+                assert!(b == 1 || h / b >= MIN_ROWS_PER_BAND, "h={h}, {cores} cores");
+            }
         }
     }
 

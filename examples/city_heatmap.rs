@@ -84,7 +84,7 @@ fn main() {
         stats.labels, stats.events, stats.max_rnn
     );
     println!("top regions:");
-    for (i, r) in top.top().iter().enumerate() {
+    for (i, r) in top.into_top().iter().enumerate() {
         let c = r.rect.center();
         println!("  #{}: influence {:.0} near ({:.4}, {:.4})", i + 1, r.influence, c.x, c.y);
     }

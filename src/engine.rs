@@ -11,7 +11,8 @@
 //!   geometry, and one **shared, sharded, single-flight**
 //!   [`TileCache`];
 //! * a [`Session`] is one user's view: an `Arc` of some committed
-//!   snapshot plus private lazily-labeled regions.
+//!   snapshot plus private region answers computed on demand (a label
+//!   list, the last top-k).
 //!   [`Session::fork`] is `O(1)` — no circles or candidate lists are
 //!   copied — and every read path ([`Session::viewport`],
 //!   [`Session::influence_at`], [`Session::top_k`], …) takes `&self`,
@@ -20,11 +21,11 @@
 //! * edits ([`Session::add_facility`] /
 //!   [`Session::remove_facility`] / [`Session::move_facility`])
 //!   commit a **new** snapshot (chunk-level copy-on-write against the
-//!   parent) and never disturb other sessions: committed snapshots
-//!   are immutable forever, so a reader mid-frame on the old snapshot
-//!   finishes on exactly the geometry it started with — no torn
-//!   frames, by construction (stress-tested in
-//!   `tests/concurrent_serving.rs`);
+//!   parent), reset the session's region answers, and never disturb
+//!   other sessions: committed snapshots are immutable forever, so a
+//!   reader mid-frame on the old snapshot finishes on exactly the
+//!   geometry it started with — no torn frames, by construction
+//!   (stress-tested in `tests/concurrent_serving.rs`);
 //! * cache isolation is automatic: snapshot fingerprints key every
 //!   tile, and an edit *propagates* the clean tiles of its parent to
 //!   the new fingerprint — moving them when the session was the
@@ -61,24 +62,22 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
-use rnnhm_core::arrangement::{fnv1a_words, CoordSpace};
+use rnnhm_core::arrangement::fnv1a_words;
 use rnnhm_core::crest::crest_sweep;
 use rnnhm_core::crest_l2::crest_l2_sweep;
-use rnnhm_core::edit::{ArrangementRef, DirtyRegion, EditError, EditOutcome, Shape};
+use rnnhm_core::edit::{ArrangementRef, DirtyRegion, EditError, EditOutcome};
 use rnnhm_core::measure::{IncrementalMeasure, InfluenceMeasure};
 use rnnhm_core::placement::{
     GreedyStep, PlacementConstraints, PlacementQuery, PlacementRegion, PruneStats, Relocation,
 };
-use rnnhm_core::postprocess::{threshold, top_k};
+use rnnhm_core::postprocess::threshold;
 use rnnhm_core::query::{influence_at_points_disk, influence_at_points_square};
-use rnnhm_core::sink::{CollectSink, LabeledRegion};
+use rnnhm_core::sink::{CollectSink, LabeledRegion, RegionSink, TopKSink};
 use rnnhm_core::snapshot::{ArrangementSnapshot, RestrictedArrangement};
 use rnnhm_core::stats::SweepStats;
-use rnnhm_core::window::crest_window;
-use rnnhm_geom::transform::rotate45;
 use rnnhm_geom::{Point, Rect};
 use rnnhm_heatmap::compute::{rasterize_disks, rasterize_squares};
 use rnnhm_heatmap::mipmap::HeatMipmap;
@@ -89,12 +88,6 @@ use rnnhm_heatmap::scanline::{
     refresh_squares_dirty,
 };
 use rnnhm_heatmap::tiles::{CacheStats, Preview, TileCache, TileId, TileScheme};
-
-/// Incremental region maintenance gives up (falling back to a lazy
-/// full resweep) once the label list outgrows the last full sweep by
-/// this factor: every edit appends window labels, and past this point
-/// the duplicates cost more than one clean resweep.
-const REGION_GROWTH_CAP: usize = 4;
 
 /// Registry prune cadence: dead snapshot weak-refs are swept every
 /// this many registrations.
@@ -219,15 +212,15 @@ pub struct RegistryStats {
     pub registered: usize,
 }
 
-/// The lazily computed labeled-region state of one session.
+/// The region answers of one session's current snapshot, each computed
+/// on first use; an edit resets them all.
 #[derive(Default)]
 struct RegionsCache {
-    list: Vec<LabeledRegion>,
-    stats: SweepStats,
-    /// Whether `list` currently describes the session's snapshot.
-    fresh: bool,
-    /// Label count of the last *full* sweep (growth-cap baseline).
-    full_len: usize,
+    /// Every label of one full sweep, and that sweep's statistics.
+    list: Option<(Vec<LabeledRegion>, SweepStats)>,
+    /// The answer to the largest top-k asked so far, with the `k` asked:
+    /// any smaller `k` is a prefix of it.
+    top: Option<(usize, Vec<LabeledRegion>)>,
 }
 
 /// A concurrent exploration engine over one dataset: the root
@@ -385,7 +378,10 @@ fn input_bbox(snap: &ArrangementSnapshot) -> Rect {
 }
 
 /// One user's view of an [`ExplorationEngine`]: a committed snapshot
-/// plus private region labels, sharing the engine's tile cache.
+/// plus private region answers (a label list, the last top-k), sharing
+/// the engine's tile cache. Region answers are computed on demand and
+/// reset by every edit; [`Session::top_k`] sweeps into a bounded sink
+/// without building the label list.
 ///
 /// All read paths take `&self` and are safe to call from many threads
 /// at once (`Session` is `Send + Sync`); edits take `&mut self` and
@@ -446,30 +442,32 @@ impl<M: InfluenceMeasure> Session<M> {
         self.shared.lod_exact_zoom
     }
 
-    /// The regions cache, computed (or recomputed after edits
-    /// invalidated it) on demand.
-    // lint:returns-lock(regions)
-    fn regions_cache(&self) -> MutexGuard<'_, RegionsCache> {
-        let mut cache = self.regions.lock().unwrap_or_else(|e| e.into_inner());
-        if !cache.fresh {
-            let mut sink = CollectSink::default();
-            let stats = match self.snap.arrangement() {
-                ArrangementRef::Square(arr) => crest_sweep(arr, &self.shared.measure, &mut sink),
-                ArrangementRef::Disk(arr) => crest_l2_sweep(arr, &self.shared.measure, &mut sink),
-            };
-            cache.full_len = sink.regions.len();
-            cache.list = sink.regions;
-            cache.stats = stats;
-            cache.fresh = true;
+    /// One full CREST (L∞, L1) or CREST-L2 sweep of the snapshot into
+    /// `sink`.
+    fn sweep(&self, sink: &mut impl RegionSink) -> SweepStats {
+        match self.snap.arrangement() {
+            ArrangementRef::Square(arr) => crest_sweep(arr, &self.shared.measure, sink),
+            ArrangementRef::Disk(arr) => crest_l2_sweep(arr, &self.shared.measure, sink),
         }
-        cache
     }
 
-    /// All labeled regions (computing them on first use). After edits,
-    /// the list may contain additional relabelings of the same region
-    /// (consistent duplicates, as CREST itself emits — Lemma 3).
+    /// Runs `f` over the snapshot's label list and sweep statistics,
+    /// sweeping on first use.
+    fn with_list<R>(&self, f: impl FnOnce(&[LabeledRegion], SweepStats) -> R) -> R {
+        let mut cache = self.regions.lock().unwrap_or_else(|e| e.into_inner());
+        let (list, stats) = cache.list.get_or_insert_with(|| {
+            let mut sink = CollectSink::default();
+            let stats = self.sweep(&mut sink);
+            (sink.regions, stats)
+        });
+        f(list, *stats)
+    }
+
+    /// All labeled regions of the snapshot, from one full sweep run on
+    /// first use. One region may carry several labels (CREST relabels
+    /// a region a bounded number of times — Lemma 3).
     pub fn regions(&self) -> Vec<LabeledRegion> {
-        self.regions_cache().list.clone()
+        self.with_list(|list, _| list.to_vec())
     }
 
     /// Runs `f` over the labeled regions *in place* — no cloning —
@@ -477,17 +475,36 @@ impl<M: InfluenceMeasure> Session<M> {
     /// duration of `f`; don't call other region accessors or edit
     /// operations from inside it.
     pub fn with_regions<R>(&self, f: impl FnOnce(&[LabeledRegion]) -> R) -> R {
-        f(&self.regions_cache().list)
+        self.with_list(|list, _| f(list))
     }
 
-    /// Statistics of the sweep that produced the current region labels.
+    /// Statistics of the sweep that produced [`Session::regions`].
     pub fn stats(&self) -> SweepStats {
-        self.regions_cache().stats
+        self.with_list(|_, stats| stats)
     }
 
-    /// The `k` most influential regions (deduplicated by RNN set).
+    /// The `k` most influential regions, deduplicated by RNN set, ties
+    /// broken by first emission — exactly
+    /// [`rnnhm_core::postprocess::top_k`] over [`Session::regions`].
+    ///
+    /// Runs one sweep straight into a [`TopKSink`] bounded by the
+    /// measure's [`InfluenceMeasure::raw_upper_bound`]; no label list is
+    /// built. The answer for the largest `k` asked is kept until the
+    /// next edit, and serves every smaller `k` as a prefix.
     pub fn top_k(&self, k: usize) -> Vec<LabeledRegion> {
-        top_k(&self.regions_cache().list, k)
+        let mut cache = self.regions.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some((asked, top)) = &cache.top {
+            // A short answer already holds every distinct region.
+            if k <= *asked || top.len() < *asked {
+                return top[..k.min(top.len())].to_vec();
+            }
+        }
+        let measure = &self.shared.measure;
+        let mut sink = TopKSink::with_bound(k, |rnn: &[u32]| measure.raw_upper_bound(rnn));
+        self.sweep(&mut sink);
+        let top = sink.into_top();
+        cache.top = Some((k, top.clone()));
+        top
     }
 
     /// The single most influential region.
@@ -497,7 +514,7 @@ impl<M: InfluenceMeasure> Session<M> {
 
     /// Regions with influence at or above `min_influence`.
     pub fn at_least(&self, min_influence: f64) -> Vec<LabeledRegion> {
-        threshold(&self.regions_cache().list, min_influence)
+        self.with_list(|list, _| threshold(list, min_influence))
     }
 
     /// The RNN set and influence of an arbitrary location (input-space
@@ -593,9 +610,9 @@ impl<M: InfluenceMeasure> Session<M> {
     }
 
     /// Greedily places up to `count` new facilities, committing each
-    /// accepted candidate through the session's edit path (so region
-    /// labels and cached tiles propagate incrementally). Stops early
-    /// when no candidate satisfies `constraints`.
+    /// accepted candidate through the session's edit path (so cached
+    /// tiles propagate incrementally). Stops early when no candidate
+    /// satisfies `constraints`.
     pub fn greedy_place(
         &mut self,
         count: usize,
@@ -642,11 +659,11 @@ impl<M: InfluenceMeasure> Session<M> {
     }
 
     /// Commits an edit's successor snapshot and propagates derived
-    /// state: private region labels update incrementally, and the
-    /// shared tile cache carries the parent's clean tiles over to the
-    /// new fingerprint — *moving* them when this session was the old
-    /// snapshot's sole user, *aliasing* them (old entries stay, for
-    /// the forks still serving the parent) otherwise.
+    /// state: the session's region answers reset (the next region query
+    /// re-sweeps), and the shared tile cache carries the parent's clean
+    /// tiles over to the new fingerprint — *moving* them when this
+    /// session was the old snapshot's sole user, *aliasing* them (old
+    /// entries stay, for the forks still serving the parent) otherwise.
     fn finish_edit(&mut self, next: ArrangementSnapshot, outcome: &EditOutcome) {
         let next = Arc::new(next);
         self.shared.register(&next);
@@ -656,7 +673,7 @@ impl<M: InfluenceMeasure> Session<M> {
             // regions — only the facility bookkeeping changed.
             return;
         }
-        self.maintain_regions(outcome);
+        *self.regions.get_mut().unwrap_or_else(|e| e.into_inner()) = RegionsCache::default();
         // Tiles only exist once some session initialized the tile
         // scheme; before that there is nothing to propagate (and the
         // scheme stays free to snap to a later, post-edit extent).
@@ -718,124 +735,6 @@ impl<M: InfluenceMeasure> Session<M> {
         lod.insert(self.snap.fingerprint(), LodState::Patch { ancestor, dirty });
     }
 
-    /// Updates the session's labeled-region cache for one edit, if it
-    /// is fresh:
-    ///
-    /// * regions whose representative rect misses the (sweep-space)
-    ///   dirty window are untouched;
-    /// * regions uniformly inside/outside every changed circle, old
-    ///   and new, keep their rect — their RNN delta is known exactly,
-    ///   so the influence updates through
-    ///   [`InfluenceMeasure::influence_delta`] without recomputation;
-    /// * regions straddling a changed boundary are dropped, and a
-    ///   windowed CREST resweep relabels everything there (clipped
-    ///   representative rects). The resweep window is the dirty
-    ///   window *grown to cover every dropped rect*: a dropped label
-    ///   may extend far past the dirty area, and the part of its
-    ///   region outside the dirty window still needs a label after
-    ///   the drop.
-    ///
-    /// L2 maps mark the cache stale instead (no windowed L2 sweep);
-    /// the next region query resweeps fully.
-    fn maintain_regions(&self, outcome: &EditOutcome) {
-        let mut cache = self.regions.lock().unwrap_or_else(|e| e.into_inner());
-        if !cache.fresh {
-            return;
-        }
-        let arr = match self.snap.arrangement() {
-            ArrangementRef::Disk(_) => {
-                cache.fresh = false;
-                cache.list.clear();
-                return;
-            }
-            ArrangementRef::Square(arr) => arr,
-        };
-        let dirty_bbox = outcome.dirty.bbox().expect("caller checked non-empty");
-        let window = match arr.space {
-            CoordSpace::Identity => dirty_bbox,
-            CoordSpace::Rotated45 => {
-                let corners = [
-                    rotate45(Point::new(dirty_bbox.x_lo, dirty_bbox.y_lo)),
-                    rotate45(Point::new(dirty_bbox.x_lo, dirty_bbox.y_hi)),
-                    rotate45(Point::new(dirty_bbox.x_hi, dirty_bbox.y_lo)),
-                    rotate45(Point::new(dirty_bbox.x_hi, dirty_bbox.y_hi)),
-                ];
-                Rect::bounding(&corners).expect("four corners")
-            }
-        };
-
-        let list = std::mem::take(&mut cache.list);
-        let mut kept: Vec<LabeledRegion> = Vec::with_capacity(list.len());
-        let mut added: Vec<u32> = Vec::new();
-        let mut removed: Vec<u32> = Vec::new();
-        // The resweep must relabel everything a dropped label used to
-        // describe, and dropped rects can reach past the dirty window.
-        let mut resweep = window;
-        'regions: for mut region in list {
-            if !region.rect.intersects(&window) {
-                kept.push(region);
-                continue;
-            }
-            added.clear();
-            removed.clear();
-            for ch in &outcome.changes {
-                let was = membership(ch.old.as_ref(), &region.rect);
-                let now = membership(ch.new.as_ref(), &region.rect);
-                match (was, now) {
-                    (Some(a), Some(b)) if a == b => {}
-                    (Some(false), Some(true)) if !region.rnn.contains(&ch.owner) => {
-                        added.push(ch.owner);
-                    }
-                    (Some(true), Some(false)) if region.rnn.contains(&ch.owner) => {
-                        removed.push(ch.owner);
-                    }
-                    // A changed boundary crosses the rect (or the label
-                    // disagrees with the geometry): drop the label and
-                    // leave relabeling its whole footprint — not just
-                    // the dirty part — to the resweep.
-                    _ => {
-                        resweep = resweep.union(&region.rect);
-                        continue 'regions;
-                    }
-                }
-            }
-            if !added.is_empty() || !removed.is_empty() {
-                region.influence = self.shared.measure.influence_delta(
-                    region.influence,
-                    &region.rnn,
-                    &added,
-                    &removed,
-                );
-                region.rnn.retain(|id| !removed.contains(id));
-                region.rnn.extend_from_slice(&added);
-            }
-            kept.push(region);
-        }
-        // Inflate the resweep window a hair: a changed square's edge
-        // is itself a new strip boundary, so regions created right
-        // outside it touch the window only along a zero-area line and
-        // the window sink would drop their (empty) clipped labels. A
-        // relative epsilon gives each such neighbor a positive-area
-        // sliver to be labeled in.
-        let magnitude = resweep
-            .x_lo
-            .abs()
-            .max(resweep.x_hi.abs())
-            .max(resweep.y_lo.abs())
-            .max(resweep.y_hi.abs());
-        let resweep = resweep.inflate((magnitude * 1e-12).max(1e-12));
-        let mut sink = CollectSink::default();
-        crest_window(arr, resweep, &self.shared.measure, &mut sink);
-        kept.extend(sink.regions);
-        if kept.len() > REGION_GROWTH_CAP * cache.full_len + 1024 {
-            // Too many accumulated duplicates: cheaper to resweep.
-            cache.fresh = false;
-            cache.list.clear();
-        } else {
-            cache.list = kept;
-        }
-    }
-
     /// Renders the heat map with the per-pixel-stab reference path —
     /// available for any [`InfluenceMeasure`].
     pub fn raster_oracle(&self, spec: GridSpec) -> HeatRaster {
@@ -847,18 +746,6 @@ impl<M: InfluenceMeasure> Session<M> {
                 rnnhm_heatmap::rasterize_disks_oracle(arr, &self.shared.measure, spec)
             }
         }
-    }
-}
-
-/// Whether every interior point of `rect` is inside (`Some(true)`),
-/// outside (`Some(false)`), or on both sides (`None`) of the closed
-/// shape; `None` shape means "no circle" (always outside).
-fn membership(shape: Option<&Shape>, rect: &Rect) -> Option<bool> {
-    match shape {
-        None => Some(false),
-        Some(s) if s.covers_rect(rect) => Some(true),
-        Some(s) if s.misses_rect(rect) => Some(false),
-        Some(_) => None,
     }
 }
 

@@ -30,9 +30,10 @@
 //! ([`RnnHeatMap::add_facility`] / [`RnnHeatMap::remove_facility`] /
 //! [`RnnHeatMap::move_facility`]): the NN-circle arrangement is
 //! maintained incrementally (`rnnhm_core::edit`), cached viewport tiles
-//! outside the returned [`DirtyRegion`] survive the edit, and labeled
-//! regions update through the measure delta hooks instead of a full
-//! resweep. See `examples/what_if.rs` for a walkthrough.
+//! outside the returned [`DirtyRegion`] survive the edit, and region
+//! answers reset: the next region query re-sweeps the edited
+//! arrangement (top-k straight into a bounded sink). See
+//! `examples/what_if.rs` for a walkthrough.
 //!
 //! ```
 //! use rnn_heatmap::HeatMapBuilder;
@@ -239,9 +240,10 @@ impl HeatMapBuilder {
     }
 }
 
-/// A fully computed RNN heat map: every region of the plane labeled with
-/// its RNN set and influence, plus query, rendering and what-if editing
-/// entry points.
+/// An RNN heat map: an editable NN-circle arrangement whose regions are
+/// labeled with their RNN set and influence on demand, plus query,
+/// rendering and what-if editing entry points. An edit resets the
+/// region answers; the next region query re-sweeps.
 ///
 /// Since the snapshot refactor this is a thin wrapper over a single
 /// [`Session`] of the concurrent [`ExplorationEngine`] — same code
@@ -258,9 +260,9 @@ impl<M: InfluenceMeasure> RnnHeatMap<M> {
         &self.session
     }
 
-    /// All labeled regions (computing them on first use). After edits,
-    /// the list may contain additional relabelings of the same region
-    /// (consistent duplicates, as CREST itself emits — Lemma 3).
+    /// All labeled regions, from one full sweep run on first use (and
+    /// again after each edit). One region may carry several labels
+    /// (CREST relabels a region a bounded number of times — Lemma 3).
     ///
     /// This *clones* the full list (each label owns its RNN vector);
     /// for read-only access at scale use [`RnnHeatMap::with_regions`],
@@ -278,14 +280,14 @@ impl<M: InfluenceMeasure> RnnHeatMap<M> {
         self.session.with_regions(f)
     }
 
-    /// Statistics of the sweep that produced the current region labels
-    /// (`labels` is the paper's `k`). Incremental edit maintenance does
-    /// not update these; they describe the last full sweep.
+    /// Statistics of the sweep that produced [`RnnHeatMap::regions`]
+    /// (`labels` is the paper's `k`).
     pub fn stats(&self) -> SweepStats {
         self.session.stats()
     }
 
-    /// The `k` most influential regions (deduplicated by RNN set).
+    /// The `k` most influential regions (deduplicated by RNN set), from
+    /// one sweep into a bounded sink; see [`Session::top_k`].
     pub fn top_k(&self, k: usize) -> Vec<LabeledRegion> {
         self.session.top_k(k)
     }
@@ -373,9 +375,8 @@ impl<M: InfluenceMeasure> RnnHeatMap<M> {
     /// snapshot that shares all unchanged storage with the old one);
     /// cached viewport tiles intersecting the dirty region are
     /// invalidated while all others stay warm under the new snapshot
-    /// fingerprint; labeled regions (if already computed) update via
-    /// the measure's `influence_delta` hook plus a windowed resweep of
-    /// the dirty area. Errors on monochromatic maps.
+    /// fingerprint; region answers reset, so the next region query
+    /// re-sweeps the edited arrangement. Errors on monochromatic maps.
     pub fn add_facility(&mut self, p: Point) -> Result<(u32, DirtyRegion), EditError> {
         self.session.add_facility(p)
     }
@@ -679,9 +680,9 @@ mod tests {
 
     #[test]
     fn regions_stay_correct_across_edits() {
-        // Regions computed *before* an edit must agree with a fresh
-        // rebuild *after* it — exercising the delta-hook maintenance
-        // (squares) and the stale-marking fallback (disks).
+        // Regions computed *before* an edit must not leak past it: the
+        // edit resets them, and the answers after it agree with a fresh
+        // rebuild.
         let (clients, facilities) = toy();
         for metric in Metric::ALL {
             let mut map = HeatMapBuilder::bichromatic(clients.clone(), facilities.clone())
@@ -701,7 +702,7 @@ mod tests {
             let ours = map.max_region().expect("regions exist");
             let theirs = rebuilt.max_region().expect("regions exist");
             assert_eq!(ours.influence, theirs.influence, "{metric:?}: max influence diverged");
-            // Every maintained label must score its own witness point
+            // Every top label must score its own witness point
             // (degenerate "special rectangles" have no interior point
             // to witness — the paper's zero-height strips — so skip
             // them, as the windowed-sweep tests do).

@@ -9,7 +9,10 @@
 //!   with `refresh_raster` (the scanline dirty-rect path),
 //! * a `viewport()` served through the (partially invalidated,
 //!   partially re-keyed) tile cache,
-//! * the maintained labeled regions' maximum influence.
+//! * the labeled regions and the top-k: an edit resets the session's
+//!   region answers, so `regions()` (a full re-sweep) and `top_k(10)`
+//!   (one sweep into a bounded sink) must equal the rebuild's element
+//!   for element — rect, RNN set in emission order, influence bits.
 //!
 //! Covered across all three metrics (square and disk arrangements) and
 //! the four paper measures; weights are dyadic rationals so every
@@ -95,7 +98,9 @@ fn run_case<M: IncrementalMeasure + Sync + Clone>(
     };
     let spec = GridSpec::new(48, 40, Rect::new(-1.0, 11.0, -1.0, 11.0));
     let mut held = map.raster(spec);
-    let _ = map.stats(); // force the region sweep so edits maintain it
+    // Compute region answers before editing: the edits must reset them.
+    let _ = map.stats();
+    let _ = map.top_k(10);
     let vrect = Rect::new(0.7, 8.3, 0.9, 7.7);
     let _ = map.viewport(vrect, 40, 40); // warm the tile cache pre-edit
 
@@ -117,37 +122,27 @@ fn run_case<M: IncrementalMeasure + Sync + Clone>(
     let one_shot = rebuilt.raster(frame.spec);
     assert_bits(&frame, &one_shot, &format!("{what}: viewport through edited cache"));
 
-    // The maintained label list must keep *every* region represented:
-    // the top influence values over deduplicated RNN signatures agree
-    // with a clean full sweep. This is what catches dropped labels
-    // whose region was never relabeled (regression: the windowed
-    // resweep used to cover only the dirty bbox, losing the part of a
-    // dropped label outside it). Empty-RNN labels are skipped on both
-    // sides: the windowed resweep labels the uncovered face inside its
-    // window, which a full sweep never emits — a consistent extra
-    // label, not a divergence.
-    let ours = top_influences(&map.regions(), 5, what);
-    let theirs = top_influences(&rebuilt.regions(), 5, what);
-    assert_eq!(ours, theirs, "{what}: top influences diverged (maintained vs rebuilt label lists)");
-    // Stronger: every (RNN set, influence) signature the rebuild's
-    // full sweep labels must be represented in the maintained list —
-    // incremental maintenance may add consistent duplicates but must
-    // never lose a region.
-    map.with_regions(|ours| {
-        rebuilt.with_regions(|theirs| {
-            let have = signature_set(ours);
-            for sig in signature_set(theirs) {
-                assert!(
-                    have.contains(&sig),
-                    "{what}: rebuilt signature {sig:?} lost from the maintained label list"
-                );
-            }
-        })
-    });
+    // Region answers are recomputed from the edited arrangement, whose
+    // circles equal the rebuild's bit for bit: the sweeps agree label
+    // for label.
+    assert_same_regions(&map.regions(), &rebuilt.regions(), &format!("{what}: regions"));
+    assert_same_regions(&map.top_k(10), &rebuilt.top_k(10), &format!("{what}: top_k(10)"));
+}
+
+/// Asserts two region lists are equal element for element: rect, RNN
+/// set in emission order, and influence bits.
+fn assert_same_regions(ours: &[LabeledRegion], theirs: &[LabeledRegion], what: &str) {
+    assert_eq!(ours.len(), theirs.len(), "{what}: label count (edited vs rebuilt)");
+    for (i, (a, b)) in ours.iter().zip(theirs).enumerate() {
+        let bits = |r: &Rect| [r.x_lo, r.x_hi, r.y_lo, r.y_hi].map(f64::to_bits);
+        assert_eq!(bits(&a.rect), bits(&b.rect), "{what}: rect of label {i}");
+        assert_eq!(a.rnn, b.rnn, "{what}: RNN set of label {i}");
+        assert_eq!(a.influence.to_bits(), b.influence.to_bits(), "{what}: influence of label {i}");
+    }
 }
 
 /// Deduplicated (sorted RNN set, influence bits) signatures of a label
-/// list, skipping empty-RNN labels (see [`run_case`]).
+/// list, skipping empty-RNN labels.
 fn signature_set(regions: &[LabeledRegion]) -> Vec<(Vec<u32>, u64)> {
     let mut out: Vec<(Vec<u32>, u64)> = Vec::new();
     for r in regions {
@@ -162,32 +157,6 @@ fn signature_set(regions: &[LabeledRegion]) -> Vec<(Vec<u32>, u64)> {
         }
     }
     out
-}
-
-/// Top-`k` influence values over distinct non-empty RNN signatures,
-/// asserting en route that duplicate labels of the same signature carry
-/// identical influence bits.
-fn top_influences(regions: &[LabeledRegion], k: usize, what: &str) -> Vec<u64> {
-    let mut seen: Vec<(Vec<u32>, u64)> = Vec::new();
-    for r in regions {
-        if r.rnn.is_empty() {
-            continue;
-        }
-        let mut sig = r.rnn.clone();
-        sig.sort_unstable();
-        match seen.iter().find(|(s, _)| *s == sig) {
-            Some((_, influence)) => assert_eq!(
-                *influence,
-                r.influence.to_bits(),
-                "{what}: one RNN set, two influences ({sig:?})"
-            ),
-            None => seen.push((sig, r.influence.to_bits())),
-        }
-    }
-    let mut vals: Vec<u64> = seen.into_iter().map(|(_, i)| i).collect();
-    vals.sort_by(|a, b| f64::from_bits(*b).total_cmp(&f64::from_bits(*a)));
-    vals.truncate(k);
-    vals
 }
 
 fn decode_points(raw: &[(u32, u32)]) -> Vec<Point> {
@@ -294,13 +263,12 @@ fn scripted_scenario_all_measures_all_metrics() {
     }
 }
 
-/// After an edit, *every* RNN signature a from-scratch rebuild labels
-/// must still be represented in the maintained list (regression: a
-/// dropped straddling label used to lose the part of its region
-/// outside the dirty window, because the resweep only covered the
-/// dirty bbox — labels wide NN-circles produce are the trigger, so
-/// this uses few facilities and full-set comparison rather than
-/// top-k).
+/// After a removal, *every* RNN signature a from-scratch rebuild labels
+/// must be represented in the edited map's labels. Few facilities make
+/// wide NN-circles, whose labels reach far past the dirty region: a
+/// region layer that patched labels inside the dirty window only would
+/// lose them. The edit resets the labels and the next query re-sweeps
+/// the whole arrangement, so nothing can be lost.
 #[test]
 fn maintained_labels_cover_every_rebuilt_signature() {
     let mut state = 0xfeed_u64;
@@ -316,7 +284,7 @@ fn maintained_labels_cover_every_rebuilt_signature() {
                 .metric(metric)
                 .build(CountMeasure)
                 .unwrap();
-            let _ = map.stats(); // compute regions before the edit
+            let _ = map.stats(); // compute regions before the edit resets them
             let id = map.facilities()[remove_pick as usize].0;
             map.remove_facility(id).unwrap();
             let rebuilt = HeatMapBuilder::bichromatic(
@@ -332,7 +300,7 @@ fn maintained_labels_cover_every_rebuilt_signature() {
                 assert!(
                     ours.contains(sig),
                     "{metric:?}, remove {remove_pick}: rebuilt signature {sig:?} lost from the \
-                     maintained label list"
+                     edited map's labels"
                 );
             }
         }

@@ -143,11 +143,7 @@ fn threshold_and_topk_are_consistent_with_collect() {
     crest_sweep(&arr, &CountMeasure, &mut thresh);
 
     let batch_top = top_k(&all.regions, 3);
-    let stream_top = top.top();
-    assert_eq!(batch_top.len(), stream_top.len());
-    for (b, s) in batch_top.iter().zip(stream_top) {
-        assert_eq!(b.influence, s.influence);
-    }
+    assert_eq!(top.into_top(), batch_top, "streaming and batch top-k pick the same regions");
     let batch_thresh = threshold(&all.regions, 4.0);
     assert_eq!(batch_thresh.len(), thresh.regions.len());
 }

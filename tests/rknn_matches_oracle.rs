@@ -111,8 +111,7 @@ fn assert_bits(a: &HeatRaster, b: &HeatRaster, what: &str) {
 }
 
 /// Deduplicated (sorted RNN set, influence bits) signatures, skipping
-/// empty-RNN labels (windowed edit resweeps label the uncovered face,
-/// which a full sweep never emits — a consistent extra, not a bug).
+/// empty-RNN labels (the uncovered face is not a region of interest).
 fn signature_set(regions: &[LabeledRegion]) -> Vec<(Vec<u32>, u64)> {
     let mut out: Vec<(Vec<u32>, u64)> = Vec::new();
     for r in regions {
@@ -175,8 +174,8 @@ fn assert_matches_oracle<M: IncrementalMeasure + Sync>(
     assert_bits(&frame, &oracle_frame, &format!("{what}: viewport through tile cache"));
 
     // Region labels: every oracle signature must be represented in the
-    // map's (possibly duplicate-carrying) label list, and the top
-    // influence values must agree bitwise.
+    // map's label list (CREST may label one region more than once), and
+    // the top influence values must agree bitwise.
     map.with_regions(|ours| {
         let have = signature_set(ours);
         for sig in signature_set(&oracle_regions) {
@@ -234,7 +233,7 @@ fn run_case<M: IncrementalMeasure + Sync + Clone>(
         .tile_px(16)
         .build(measure.clone())
         .expect("k <= facility count by construction");
-    let _ = map.stats(); // force the region sweep so edits maintain it
+    let _ = map.stats(); // compute regions before the edits reset them
     assert_matches_oracle(&map, clients, facs, metric, k, &measure, &format!("{what}/pre-edit"));
 
     apply_script(&mut map, script);

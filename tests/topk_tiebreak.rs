@@ -5,8 +5,15 @@
 //! (strictly-greater replacement). The placement engine replicates
 //! this ordering in its pruned ranking, so the contract is pinned both
 //! on a crafted label list and on a real multi-tie arrangement.
+//!
+//! The same contract pins the streaming [`TopKSink`] (with and without
+//! a bound that skips labels) against the naive reference, fed from
+//! lists and from sweeps, and `Session::top_k` (one sweep into a
+//! bounded sink, memoized per snapshot) against batch `top_k` over the
+//! session's label list, for every measure and metric, across edits.
 
 use rnn_heatmap::prelude::*;
+use rnn_heatmap::HeatMapBuilder;
 
 fn region(i: usize, rnn: &[u32], influence: f64) -> LabeledRegion {
     // The rect encodes the emission index so the test can tell *which*
@@ -158,4 +165,212 @@ fn arrangement_ties_order_by_emission_and_placement_agrees() {
         placements.iter().map(|p| (p.rnn.clone(), p.influence)).collect();
     let want: Vec<(Vec<u32>, f64)> = top.iter().map(|r| (sig(&r.rnn), r.influence)).collect();
     assert_eq!(placed, want, "placement ranking replicates top_k tie-break");
+}
+
+/// Asserts two region lists are equal element for element: rect,
+/// RNN set in emission order, and influence bits.
+fn assert_same_regions(got: &[LabeledRegion], want: &[LabeledRegion], what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let rect_bits = |r: &Rect| [r.x_lo, r.x_hi, r.y_lo, r.y_hi].map(f64::to_bits);
+        assert_eq!(rect_bits(&g.rect), rect_bits(&w.rect), "{what}: rect of #{i}");
+        assert_eq!(g.rnn, w.rnn, "{what}: RNN set of #{i}");
+        assert_eq!(g.influence.to_bits(), w.influence.to_bits(), "{what}: influence of #{i}");
+    }
+}
+
+/// Feeds `regions` to a sink and returns its answer.
+fn replay(
+    regions: &[LabeledRegion],
+    mut sink: TopKSink<impl Fn(&[u32]) -> f64>,
+) -> Vec<LabeledRegion> {
+    for r in regions {
+        sink.label(r.rect, &r.rnn, r.influence);
+    }
+    sink.into_top()
+}
+
+/// A pseudo-random label list over a small signature pool: every
+/// signature recurs many times, carries several influence values, and
+/// is emitted with its members in varying order.
+fn tie_heavy(seed: u64, n: usize) -> Vec<LabeledRegion> {
+    let mut state = seed;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    let pool: [&[u32]; 8] = [&[0], &[1], &[0, 1], &[2], &[1, 2], &[0, 2], &[0, 1, 2], &[]];
+    (0..n)
+        .map(|i| {
+            let mut rnn = pool[next() % pool.len()].to_vec();
+            let turn = next() % rnn.len().max(1);
+            rnn.rotate_left(turn);
+            region(i, &rnn, (next() % 4) as f64 * 0.5 + 1.0)
+        })
+        .collect()
+}
+
+/// The highest influence each signature carries anywhere in `regions`:
+/// the tightest bound that holds for every emission of a set.
+fn tight_bound(regions: &[LabeledRegion]) -> impl Fn(&[u32]) -> f64 {
+    let mut best: Vec<(Vec<u32>, f64)> = Vec::new();
+    for r in regions {
+        let s = sig(&r.rnn);
+        match best.iter_mut().find(|(t, _)| *t == s) {
+            Some((_, b)) => *b = b.max(r.influence),
+            None => best.push((s, r.influence)),
+        }
+    }
+    move |rnn: &[u32]| {
+        let s = sig(rnn);
+        best.iter().find(|(t, _)| *t == s).map_or(f64::INFINITY, |&(_, b)| b)
+    }
+}
+
+#[test]
+fn sink_matches_naive_reference_on_lists() {
+    for seed in 0..20u64 {
+        let regions = tie_heavy(0x7e57 + seed, 300);
+        for k in [1, 2, 3, 5, 8, 100] {
+            let want = naive_top_k(&regions, k);
+            let what = format!("seed {seed}, k={k}");
+            // `top_k` is the list replayed through the unbounded sink.
+            assert_same_regions(&top_k(&regions, k), &want, &format!("{what}: unbounded"));
+            assert_same_regions(
+                &replay(&regions, TopKSink::with_bound(k, tight_bound(&regions))),
+                &want,
+                &format!("{what}: bounded sink"),
+            );
+        }
+    }
+}
+
+/// One full sweep of the snapshot's arrangement into `sink`.
+fn sweep<M: InfluenceMeasure, S: RegionSink>(
+    snap: &ArrangementSnapshot,
+    measure: &M,
+    sink: &mut S,
+) {
+    match snap.arrangement() {
+        ArrangementRef::Square(arr) => crest_sweep(arr, measure, sink),
+        ArrangementRef::Disk(arr) => crest_l2_sweep(arr, measure, sink),
+    };
+}
+
+#[test]
+fn sink_matches_naive_reference_on_sweeps() {
+    let mut state = 0xa11ce_u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((state >> 11) as f64) / ((1u64 << 53) as f64) * 10.0
+    };
+    let clients: Vec<Point> = (0..120).map(|_| Point::new(next(), next())).collect();
+    let facilities: Vec<Point> = (0..9).map(|_| Point::new(next(), next())).collect();
+    // Non-dyadic weights: one RNN set's influence depends on the order
+    // its members are summed in.
+    let weights = WeightedMeasure::new((0..120).map(|i| 0.1 + (i % 7) as f64 * 0.3).collect());
+    for metric in Metric::ALL {
+        let snap = ArrangementSnapshot::build(
+            clients.clone(),
+            facilities.clone(),
+            metric,
+            Mode::Bichromatic,
+        )
+        .expect("buildable");
+        let (mut counts, mut weighted) = (CollectSink::default(), CollectSink::default());
+        sweep(&snap, &CountMeasure, &mut counts);
+        sweep(&snap, &weights, &mut weighted);
+        assert!(counts.regions.len() > 50, "{metric:?}: a non-trivial arrangement");
+        for k in [0, 1, 4, 10] {
+            let what = format!("{metric:?}, k={k}");
+            let mut c = TopKSink::with_bound(k, |rnn: &[u32]| CountMeasure.raw_upper_bound(rnn));
+            sweep(&snap, &CountMeasure, &mut c);
+            let want = naive_top_k(&counts.regions, k);
+            assert_same_regions(&c.into_top(), &want, &format!("{what}: count"));
+            let mut w = TopKSink::new(k);
+            sweep(&snap, &weights, &mut w);
+            let want = naive_top_k(&weighted.regions, k);
+            assert_same_regions(&w.into_top(), &want, &format!("{what}: weighted"));
+        }
+    }
+}
+
+#[test]
+fn k_zero_is_an_empty_answer() {
+    let regions = tie_heavy(5, 50);
+    assert!(top_k(&regions, 0).is_empty());
+    assert!(replay(&regions, TopKSink::with_bound(0, |_: &[u32]| 0.0)).is_empty());
+    let clients = vec![Point::new(1.0, 0.0), Point::new(0.0, 1.0)];
+    let map = HeatMapBuilder::bichromatic(clients, vec![Point::new(0.0, 0.0)])
+        .build(CountMeasure)
+        .expect("buildable");
+    assert!(map.top_k(0).is_empty());
+    assert_eq!(map.top_k(1).len(), 1, "a zero-k answer does not stick");
+}
+
+/// `Session::top_k` streams one sweep into a bounded sink; it must
+/// equal batch `top_k` over the session's full label list for every
+/// measure and metric, before and after edits, and through the memo.
+#[test]
+fn session_top_k_equals_batch_top_k_for_every_measure_and_metric() {
+    let mut state = 0xb0b_u64;
+    let mut next = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((state >> 11) as f64) / ((1u64 << 53) as f64) * 10.0
+    };
+    let clients: Vec<Point> = (0..60).map(|_| Point::new(next(), next())).collect();
+    let facilities: Vec<Point> = (0..5).map(|_| Point::new(next(), next())).collect();
+    let edits: Vec<Point> = (0..3).map(|_| Point::new(next(), next())).collect();
+    let n = clients.len();
+    let weighted = WeightedMeasure::new((0..n).map(|i| 0.1 + (i % 5) as f64 * 0.7).collect());
+    let capacity =
+        CapacityMeasure::new((0..n as u32).map(|i| i % 5).collect(), vec![2, 4, 1, 3, 5], 3);
+    let edges: Vec<(u32, u32)> =
+        (0..n as u32).flat_map(|a| [(a, (a + 1) % n as u32), (a, (a + 4) % n as u32)]).collect();
+    let connectivity = ConnectivityMeasure::from_edges(n, &edges);
+    for metric in Metric::ALL {
+        check_session_top_k(&clients, &facilities, &edits, metric, CountMeasure, "count");
+        check_session_top_k(&clients, &facilities, &edits, metric, weighted.clone(), "weighted");
+        check_session_top_k(&clients, &facilities, &edits, metric, capacity.clone(), "capacity");
+        check_session_top_k(
+            &clients,
+            &facilities,
+            &edits,
+            metric,
+            connectivity.clone(),
+            "connectivity",
+        );
+    }
+}
+
+fn check_session_top_k<M: InfluenceMeasure>(
+    clients: &[Point],
+    facilities: &[Point],
+    edits: &[Point],
+    metric: Metric,
+    measure: M,
+    name: &str,
+) {
+    let engine = HeatMapBuilder::bichromatic(clients.to_vec(), facilities.to_vec())
+        .metric(metric)
+        .build_engine(measure)
+        .expect("buildable");
+    let mut session = engine.session();
+    for step in 0..=edits.len() {
+        let what = format!("{name}/{metric:?}/after {step} edits");
+        // Ask top-k first, so it sweeps rather than reading a held list;
+        // then widen (a new sweep) and narrow (a prefix of the memo).
+        let fresh = session.top_k(4);
+        let wide = session.top_k(12);
+        let narrow = session.top_k(2);
+        let max = session.max_region();
+        let all = session.regions();
+        assert_same_regions(&fresh, &top_k(&all, 4), &format!("{what}: k=4"));
+        assert_same_regions(&wide, &top_k(&all, 12), &format!("{what}: k=12"));
+        assert_same_regions(&narrow, &top_k(&all, 2), &format!("{what}: k=2 from the memo"));
+        assert_same_regions(&max.into_iter().collect::<Vec<_>>(), &top_k(&all, 1), &what);
+        if let Some(&p) = edits.get(step) {
+            session.add_facility(p).expect("bichromatic map accepts adds");
+        }
+    }
 }
