@@ -62,9 +62,9 @@ pub struct ScaleRun {
     /// Whether the country viewport was in fact served approximate.
     pub approx_served: bool,
     /// Mean bytes a cached tile occupies at scenario end (payload +
-    /// entry overhead): count tiles quantize to ~2 bytes/pixel.
+    /// entry overhead): count tiles take a fraction of a byte per pixel.
     pub bytes_per_tile: f64,
-    /// Cached bytes held in compact quantized payloads at scenario end.
+    /// Cached bytes held in compact payloads at scenario end.
     pub bytes_quantized: usize,
     /// Cached bytes held in raw `f64` payloads at scenario end.
     pub bytes_exact: usize,

@@ -48,17 +48,17 @@ pub struct TileComparison {
     /// Worker threads available to tile rendering.
     pub threads: usize,
     /// First viewport, empty cache: render every covering tile + stitch.
-    /// Median over [`REPS`] fresh-cache repetitions.
+    /// Median over `REPS` fresh-cache repetitions.
     pub cold_ms: f64,
     /// Quarter-viewport jump (75% area overlap): cached tiles plus the
-    /// newly exposed tile columns, stitched. Median over [`REPS`].
+    /// newly exposed tile columns, stitched. Median over `REPS`.
     pub warm_jump_ms: f64,
     /// Mean per-frame time over the 16-step drag (each step ≥ 93% tile
     /// overlap with the previous frame) — the headline warm-pan cost.
-    /// Median over [`REPS`].
+    /// Median over `REPS`.
     pub warm_pan_ms: f64,
     /// Uncached one-shot scanline render of the final viewport's spec
-    /// (the pre-tile full-frame path). Median over [`REPS`].
+    /// (the pre-tile full-frame path). Median over `REPS`.
     pub full_ms: f64,
     /// `full_ms / warm_pan_ms` — the acceptance metric.
     pub speedup_warm_vs_full: f64,
@@ -75,15 +75,15 @@ pub struct TileComparison {
     /// Cache misses accumulated over the scenario.
     pub cache_misses: u64,
     /// Mean bytes a cached tile occupies (payload + entry overhead):
-    /// quantized count tiles sit near 2 bytes/pixel, raw `f64` tiles
-    /// at 8.
+    /// compact count tiles take a fraction of a byte per pixel, raw
+    /// `f64` tiles 8.
     pub bytes_per_tile: f64,
-    /// Cached bytes held in compact quantized payloads.
+    /// Cached bytes held in compact payloads.
     pub bytes_quantized: usize,
     /// Cached bytes held in raw `f64` payloads.
     pub bytes_exact: usize,
     /// Tiles the cache could hold at the observed mean payload size —
-    /// the *effective* capacity quantization buys.
+    /// the *effective* capacity the compact form buys.
     pub effective_capacity_tiles: usize,
     /// Whether the final stitched frame was bit-identical to the
     /// one-shot render of the same spec.
@@ -128,11 +128,8 @@ pub fn compare_tile_paths(
                 |base, _, spec| {
                     let sub = base.restrict_to(spec.extent);
                     let raster = rasterize_squares_scanline_bands(&sub, &CountMeasure, spec, 1);
-                    // Count tiles are integer-valued: the integral hint
-                    // steers them to the affine payload, whose decode is
-                    // a vectorizable convert+FMA (the facade passes the
-                    // same hint via
-                    // `InfluenceMeasure::integral_influence`).
+                    // Encoded as the facade does; the payload depends on
+                    // the pixel bits only, not on the integral hint.
                     TilePayload::encode(raster, CountMeasure.integral_influence())
                 },
             );

@@ -64,12 +64,10 @@ pub trait InfluenceMeasure {
     /// `f64` (counts, capacities, edge counts — everything the paper's
     /// experiments evaluate except arbitrary weights).
     ///
-    /// Downstream consumers use this as an *eligibility hint* for
-    /// lossless integer-offset quantization of cached artifacts (e.g.
-    /// `rnnhm_heatmap::quant` tile payloads). It is a hint only:
-    /// quantizers must still verify round-trips bitwise, so a wrong
-    /// answer costs compactness, never correctness. The conservative
-    /// default is `false`.
+    /// A property of the measure, not an encoding switch: the tile
+    /// payloads of `rnnhm_heatmap::quant` are a pure function of the
+    /// pixel bits and encode the same whatever this returns. The
+    /// conservative default is `false`.
     fn integral_influence(&self) -> bool {
         false
     }

@@ -15,10 +15,9 @@
 //!   which is exact for counts and only for counts),
 //! * [`render`] — PPM/PGM/ASCII writers with heat color ramps (darker =
 //!   more influential, following the paper's figures),
-//! * [`quant`] — compact bit-exact tile payloads: `u16` palette /
-//!   affine encodings that cut cached-tile traffic to 2 bytes per
-//!   pixel, falling back to raw `f64` whenever a tile cannot
-//!   round-trip exactly,
+//! * [`quant`] — compact bit-exact tile payloads: deduplicated rows of
+//!   `u16` runs or codes into a palette of the tile's distinct values,
+//!   falling back to raw `f64` where that is not smaller,
 //! * [`tiles`] — the interactive-exploration serving layer: a
 //!   multi-resolution tile pyramid rendered through the scanline
 //!   engine, an LRU tile cache, and cached viewport stitching with

@@ -75,10 +75,10 @@ pub fn blit(
 }
 
 /// [`blit`] over a cached [`TilePayload`]: copies a `w × h` block from
-/// the (possibly quantized) `src` payload into `dst`, decoding row
-/// segments on the fly. Decoding is bit-exact for every stored payload
-/// — quantized tiles only exist when their values round-trip — so this
-/// produces the same pixels as blitting the original raster.
+/// the (possibly compact) `src` payload into `dst`, decoding row
+/// segments on the fly. Decoding returns the stored bits of every
+/// payload, so this produces the same pixels as blitting the original
+/// raster.
 ///
 /// Panics if either block runs outside its raster.
 pub fn blit_payload(

@@ -107,6 +107,12 @@ impl HeatRaster {
         &mut self.values
     }
 
+    /// Consumes the raster, handing back its value buffer (row-major,
+    /// row 0 at the bottom) without a copy.
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
+    }
+
     /// Minimum and maximum value.
     pub fn min_max(&self) -> (f64, f64) {
         let mut lo = f64::INFINITY;

@@ -22,7 +22,7 @@
 //!    [`remove`] and evaluated once per *run* of equal-valued pixels,
 //!    not once per pixel.
 //! 3. **Row batching.** Adjacent rows of a band are pushed through the
-//!    same active-shape set in [`ROW_BATCH`]-row groups (the RT-RkNN
+//!    same active-shape set in `ROW_BATCH`-row groups (the RT-RkNN
 //!    ray-coherence idea: batch adjacent rays through one shape set).
 //!    For row-invariant shapes (axis-aligned squares) every shape
 //!    covering the whole batch contributes the *same* events to each

@@ -15,11 +15,11 @@
 //! * [`TileCache`] — a byte-accounted LRU cache keyed by
 //!   `(arrangement fingerprint, measure key, tile)` with hit/miss
 //!   statistics, safe to share across threads. Entries are
-//!   [`TilePayload`]s, not raw rasters: tiles that round-trip exactly
-//!   through a compact `u16` encoding (see [`crate::quant`]) cost 2
-//!   bytes per pixel instead of 8, roughly quadrupling effective
-//!   capacity for integral measures; all eviction and shard accounting
-//!   runs on true payload bytes,
+//!   [`TilePayload`]s, not raw rasters: each tile is stored as
+//!   deduplicated rows of runs or codes into a palette of its distinct
+//!   values (see [`crate::quant`]) — the 256² count tiles of the
+//!   `pan_zoom` benchmark average ~14 KB against 512 KiB of raw `f64`;
+//!   all eviction and shard accounting runs on true payload bytes,
 //! * [`Viewport`] — resolves a map rectangle plus an on-screen pixel
 //!   budget to a zoom level and a pixel window of the global grid,
 //!   fetches/renders the covering tiles in parallel, and stitches them
@@ -369,13 +369,17 @@ impl Viewport {
     /// Assembles the viewport raster from `payloads`, one per
     /// [`Viewport::tiles`] entry in the same order.
     ///
-    /// The output buffer is filled row by row with one row-segment
-    /// append per (row, tile) segment — append-only, no zero-fill pass
-    /// — because the covering tiles blanket every window pixel.
-    /// Quantized payloads dequantize on the fly, reading 2 bytes per
-    /// pixel instead of 8; exact payloads copy their slices bitwise.
-    /// Either way the output is bit-identical to stitching the decoded
-    /// rasters, because decoding is bit-exact.
+    /// The output buffer is filled row by row, append-only (no
+    /// zero-fill pass), because the covering tiles blanket every window
+    /// pixel. A tile segment whose row repeats the tile's row above
+    /// ([`TilePayload::row_repeats`]) is copied from the frame row
+    /// above, which shows that very tile row; when every segment of a
+    /// frame row repeats, the whole previous frame row is copied. Any
+    /// other segment is decoded from its payload. A tile's first row
+    /// never repeats, so no copy crosses a tile-row boundary, and the
+    /// window's first row is always decoded. The output is
+    /// bit-identical to stitching the decoded rasters, because decoding
+    /// is bit-exact and a repeated row is bitwise its row above.
     pub fn stitch(&self, scheme: &TileScheme, payloads: &[Arc<TilePayload>]) -> HeatRaster {
         assert_eq!(payloads.len(), self.tiles.len(), "one payload per covering tile");
         let t = scheme.tile_px;
@@ -395,17 +399,26 @@ impl Viewport {
             let g_row = self.row0 + r;
             let row_base = (g_row / t - ty0) * cols;
             let src_row = g_row % t;
-            for k in 0..cols {
-                let id = self.tiles[row_base + k];
+            let row_tiles = &payloads[row_base..row_base + cols];
+            // Start of the frame row above, if there is one to copy from.
+            let above = values.len().checked_sub(w);
+            if let Some(above) = above {
+                if row_tiles.iter().all(|tile| tile.row_repeats(src_row)) {
+                    values.extend_from_within(above..above + w);
+                    continue;
+                }
+            }
+            for (tile, id) in row_tiles.iter().zip(&self.tiles[row_base..row_base + cols]) {
                 let tc0 = id.tx as usize * t;
                 let c_lo = tc0.max(self.col0);
                 let c_hi = (tc0 + t).min(self.col0 + w);
-                payloads[row_base + k].append_row_segment(
-                    src_row,
-                    c_lo - tc0,
-                    c_hi - c_lo,
-                    &mut values,
-                );
+                match above {
+                    Some(above) if tile.row_repeats(src_row) => {
+                        let s0 = above + c_lo - self.col0;
+                        values.extend_from_within(s0..s0 + c_hi - c_lo);
+                    }
+                    _ => tile.append_row_segment(src_row, c_lo - tc0, c_hi - c_lo, &mut values),
+                }
             }
         }
         HeatRaster::from_values(self.spec, values)
@@ -457,21 +470,30 @@ impl Viewport {
                     // ancestor-local pixel (C >> levels) - anc_origin.
                     let anc_c0 = (id.tx as usize >> levels) * t;
                     let anc_r0 = (id.ty as usize >> levels) * t;
+                    let fine_c0 = self.col0 + dst.0;
+                    let sc0 = (fine_c0 >> levels) - anc_c0;
+                    let sc1 = ((fine_c0 + size.0 - 1) >> levels) - anc_c0;
+                    // The ancestor row segment this block samples,
+                    // decoded once per ancestor row.
+                    let mut anc_row = vec![0.0; sc1 - sc0 + 1];
+                    let mut decoded = None;
                     for dy in 0..size.1 {
-                        let fine_row = self.row0 + dst.1 + dy;
-                        let sr = (fine_row >> levels) - anc_r0;
-                        for dx in 0..size.0 {
-                            let fine_col = self.col0 + dst.0 + dx;
-                            let sc = (fine_col >> levels) - anc_c0;
-                            out.set(dst.0 + dx, dst.1 + dy, tile.get(sc, sr));
+                        let sr = ((self.row0 + dst.1 + dy) >> levels) - anc_r0;
+                        if decoded != Some(sr) {
+                            tile.read_row_segment(sr, sc0, &mut anc_row);
+                            decoded = Some(sr);
+                        }
+                        let d0 = (dst.1 + dy) * self.spec.width + dst.0;
+                        let out_row = &mut out.values_mut()[d0..d0 + size.0];
+                        for (dx, px) in out_row.iter_mut().enumerate() {
+                            *px = anc_row[((fine_c0 + dx) >> levels) - anc_c0 - sc0];
                         }
                     }
                 }
                 None => {
                     for dy in 0..size.1 {
-                        for dx in 0..size.0 {
-                            out.set(dst.0 + dx, dst.1 + dy, background);
-                        }
+                        let d0 = (dst.1 + dy) * self.spec.width + dst.0;
+                        out.values_mut()[d0..d0 + size.0].fill(background);
                     }
                 }
             }
@@ -568,8 +590,8 @@ pub struct CacheStats {
     pub invalidations: u64,
     /// Bytes currently accounted to cached tiles.
     pub bytes: usize,
-    /// The portion of `bytes` held in compact quantized payloads
-    /// (`u16` palette/affine encodings — see [`crate::quant`]).
+    /// The portion of `bytes` held in compact payloads (deduplicated
+    /// rows of runs or palette codes — see [`crate::quant`]).
     /// `bytes_quantized + bytes_exact == bytes` always.
     pub bytes_quantized: usize,
     /// The portion of `bytes` held in raw `f64` payloads.
@@ -895,8 +917,9 @@ impl TileCache {
     /// Inserts (or replaces) a tile, evicting LRU entries of its shard
     /// until the shard's byte budget holds. A tile larger than the
     /// shard capacity is not cached at all. The byte cost is the
-    /// payload's own [`TilePayload::bytes`] — quantized tiles charge
-    /// their compact size, so a given budget holds ~4× more of them.
+    /// payload's own [`TilePayload::bytes`]: the heap the payload
+    /// really holds, so a budget holds as many tiles as fit in memory
+    /// (~4,700 of `pan_zoom`'s ~14 KB count tiles in 64 MiB).
     pub fn insert(&self, key: TileKey, payload: Arc<TilePayload>) {
         let bytes = payload.bytes();
         self.place(key, payload, bytes, true);
@@ -1016,7 +1039,7 @@ impl TileCache {
     ///
     /// `render` receives the tile id and the exact [`GridSpec`] the
     /// tile must be rendered with ([`TileScheme::tile_spec`]); it may
-    /// return a plain [`HeatRaster`] (stored un-quantized) or a
+    /// return a plain [`HeatRaster`] (encoded on the way in) or a
     /// pre-encoded [`TilePayload`].
     pub fn fetch<R, F>(
         &self,
@@ -1608,8 +1631,8 @@ mod tests {
         assert_eq!(TileId { zoom: 0, tx: 0, ty: 0 }.parent(), None);
     }
 
-    /// A constant-valued tile payload. Constant tiles quantize to the
-    /// palette form, so these are 2-bytes-per-pixel entries.
+    /// A constant-valued tile payload: one run repeated on every row,
+    /// so a few hundred bytes in the compact form.
     fn flat_tile(s: &TileScheme, id: TileId, v: f64) -> Arc<TilePayload> {
         let spec = s.tile_spec(id);
         let values = vec![v; spec.width * spec.height];
@@ -1801,6 +1824,109 @@ mod tests {
                 assert_eq!(out.get(col, row), (tx * 100 + ty) as f64, "pixel ({col},{row})");
             }
         }
+    }
+
+    /// The viewport over global pixels `col0..col0 + w` ×
+    /// `row0..row0 + h` at `zoom`.
+    fn window(
+        s: &TileScheme,
+        zoom: u8,
+        (col0, row0): (usize, usize),
+        (w, h): (usize, usize),
+    ) -> Viewport {
+        let (o, p) = (s.world(), s.pixel_size(zoom));
+        let at = |origin: f64, px: usize| origin + px as f64 * p;
+        let rect = Rect::new(
+            at(o.x_lo, col0),
+            at(o.x_lo, col0 + w),
+            at(o.y_lo, row0),
+            at(o.y_lo, row0 + h),
+        );
+        let v = s.viewport(rect, w, h);
+        assert_eq!(
+            (v.zoom, v.pixel_origin(), v.spec().width, v.spec().height),
+            (zoom, (col0, row0), w, h)
+        );
+        v
+    }
+
+    /// Payloads for the stitch's row-copy rule. In tile column `tx`,
+    /// rows repeat in bands of `2 + tx % 3`, so one frame row mixes
+    /// repeated and fresh segments; runs are 1, 16 or 8 px by `ty`
+    /// (code rows and run rows). Every value carries `ty`, so a tile's
+    /// first row differs from the last row of the tile before it.
+    /// Tile `raw`, if given, is incompressible and stays raw.
+    fn row_copy_tiles(s: &TileScheme, v: &Viewport, raw: Option<TileId>) -> Vec<Arc<TilePayload>> {
+        let t = s.tile_px();
+        let tiles = v.tiles().iter().map(|&id| {
+            let band = 2 + id.tx as usize % 3;
+            let run = [1, 16, 8][id.ty as usize % 3];
+            let base = (id.ty * 1000 + id.tx * 100) as f64;
+            let values = (0..t * t)
+                .map(|i| {
+                    if Some(id) == raw {
+                        1.0 / (i + 3) as f64
+                    } else {
+                        base + (i / t / band) as f64 + 0.25 * (i % t / run) as f64
+                    }
+                })
+                .collect();
+            let payload = TilePayload::from(HeatRaster::from_values(s.tile_spec(id), values));
+            assert_eq!(payload.quantized(), Some(id) != raw);
+            Arc::new(payload)
+        });
+        tiles.collect()
+    }
+
+    /// The reference stitch: decode every payload, blit the rasters.
+    fn stitch_decoded(s: &TileScheme, v: &Viewport, payloads: &[Arc<TilePayload>]) -> HeatRaster {
+        let mut out = HeatRaster::new(v.spec());
+        for (&id, payload) in v.tiles().iter().zip(payloads) {
+            let (src, dst, size) = v.overlap(s, id);
+            crate::ops::blit(&mut out, &payload.to_raster(), src, dst, size);
+        }
+        out
+    }
+
+    #[test]
+    fn stitch_copies_repeated_rows_only_within_a_tile() {
+        let s = scheme();
+        let t = s.tile_px();
+        let mid = TileId { zoom: 2, tx: 1, ty: 1 };
+        // (window origin, size, raw tile): starts mid-tile on both
+        // axes and crosses tile-row boundaries; starts on a row every
+        // tile repeats; one raw tile among compact ones.
+        for (origin, size, raw) in [
+            ((5, 7), (40, 37), None),
+            ((3, t + 1), (45, 30), None),
+            ((5, 7), (40, 37), Some(mid)),
+            ((t + 2, t + 1), (t - 4, 20), Some(mid)),
+        ] {
+            let v = window(&s, 2, origin, size);
+            let payloads = row_copy_tiles(&s, &v, raw);
+            let got = v.stitch(&s, &payloads);
+            let want = stitch_decoded(&s, &v, &payloads);
+            let same =
+                got.values().iter().zip(want.values()).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "stitch ≠ decoded stitch for window {origin:?} {size:?}, raw {raw:?}");
+        }
+        // The data exercises every branch of the rule: rows where every
+        // segment repeats, rows that mix, and boundary rows.
+        let v = window(&s, 2, (5, 7), (40, 37));
+        let payloads = row_copy_tiles(&s, &v, None);
+        let cols = v.tiles().len() / 3;
+        let kinds: Vec<usize> = (1..37)
+            .map(|r| {
+                let g_row = 7 + r;
+                let row = &payloads[(g_row / t) * cols..][..cols];
+                row.iter().filter(|p| p.row_repeats(g_row % t)).count()
+            })
+            .collect();
+        assert!(kinds.contains(&cols) && kinds.contains(&0));
+        assert!(
+            kinds.iter().any(|&k| k > 0 && k < cols),
+            "a row mixing repeated and fresh segments"
+        );
     }
 
     #[test]
@@ -2292,8 +2418,9 @@ mod tests {
     fn preview_uses_parents_and_reports_coverage() {
         let s = scheme();
         let cache = TileCache::new(64 << 20);
-        let v = s.viewport(Rect::new(1.0, 7.0, 1.0, 7.0), 48, 48);
-        assert!(v.zoom >= 1, "test needs a parent level to exist");
+        // Starts mid-tile at odd pixels, so the first tile's block does
+        // not start on a parent pixel boundary.
+        let v = window(&s, 2, (5, 7), (40, 37));
 
         // Nothing cached: fully background, zero resolved.
         let p0 = v.preview(&s, &cache, 1, 2, 7.5);
@@ -2301,19 +2428,34 @@ mod tests {
         assert!(p0.raster.values().iter().all(|&x| x == 7.5));
 
         // Cache one exact tile and the *parent* of another.
-        let exact = v.tiles()[0];
+        let exact = *v.tiles().last().unwrap();
         cache.insert(key(exact), flat_tile(&s, exact, 3.0));
-        let other = *v.tiles().last().unwrap();
+        let other = v.tiles()[0];
         let parent = other.parent().unwrap();
-        cache.insert(key(parent), flat_tile(&s, parent, 4.0));
+        let t = s.tile_px();
+        let pattern = (0..t * t).map(|i| 4.0 + (i % t / 3) as f64 + 10.0 * (i / t / 2) as f64);
+        let parent_tile = Arc::new(TilePayload::from(HeatRaster::from_values(
+            s.tile_spec(parent),
+            pattern.collect(),
+        )));
+        cache.insert(key(parent), parent_tile.clone());
         let p1 = v.preview(&s, &cache, 1, 2, 7.5);
         assert!(p1.resolved > 0.0 && p1.resolved < 1.0);
         // A pixel inside the exact tile's block shows its value.
         let (_, dst, _) = v.overlap(&s, exact);
         assert_eq!(p1.raster.get(dst.0, dst.1), 3.0);
-        // A pixel inside the parent-backed block shows the parent value.
+        // Every pixel of the parent-backed block shows the parent pixel
+        // it sits in (nearest neighbour).
         let (_, dst_o, size_o) = v.overlap(&s, other);
-        assert_eq!(p1.raster.get(dst_o.0 + size_o.0 - 1, dst_o.1 + size_o.1 - 1), 4.0);
+        let (c0, r0) = v.pixel_origin();
+        let (pc0, pr0) = (parent.tx as usize * t, parent.ty as usize * t);
+        for dy in 0..size_o.1 {
+            for dx in 0..size_o.0 {
+                let (col, row) = (dst_o.0 + dx, dst_o.1 + dy);
+                let want = parent_tile.get(((c0 + col) >> 1) - pc0, ((r0 + row) >> 1) - pr0);
+                assert_eq!(p1.raster.get(col, row).to_bits(), want.to_bits(), "({col},{row})");
+            }
+        }
         // Previews must not skew hit/miss statistics.
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 0);

@@ -62,9 +62,9 @@ fn main() {
     write_ppm(&mut f, &raster, ColorRamp::Heat).expect("write ppm");
     println!("wrote {out}");
 
-    // What this frame would cost to *cache*: count rasters are
-    // integer-valued, so the tile layer stores them quantized (u16
-    // codes, bit-exact round-trip) instead of raw f64.
+    // What this frame would cost to *cache*: the tile layer stores it
+    // as deduplicated rows of runs or palette codes (bit-exact round
+    // trip) instead of raw f64.
     let raw_bytes = std::mem::size_of_val(raster.values());
     let payload = TilePayload::encode(raster.clone(), CountMeasure.integral_influence());
     println!(

@@ -82,9 +82,8 @@ fn main() {
         st.single_flight_waits,
         st.single_flight_dedups,
     );
-    // Count tiles are integer-valued, so they cache as 2-byte-per-pixel
-    // quantized payloads (bit-exact; see rnnhm_heatmap::quant) —
-    // ~4x the effective tile capacity of raw f64 tiles.
+    // Count tiles cache as compact row payloads (bit-exact; see
+    // rnnhm_heatmap::quant), a small fraction of their raw f64 size.
     println!(
         "payloads: {:.1} MiB quantized / {:.1} MiB exact ({:.0}% of cached bytes compact)",
         st.bytes_quantized as f64 / (1 << 20) as f64,

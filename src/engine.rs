@@ -817,10 +817,9 @@ impl<M: IncrementalMeasure + Sync> RestrictedBase<'_, M> {
         }
     }
 
-    /// [`RestrictedBase::render`] followed by payload encoding, with
-    /// the measure's integrality hint steering integer-valued tiles
-    /// (count and friends) toward the compact affine form first. The
-    /// encoding is lossless by construction either way.
+    /// [`RestrictedBase::render`] followed by payload encoding into
+    /// the compact row form (or raw pixels where that is not smaller).
+    /// The encoding is lossless by construction.
     fn render_payload(&self, spec: GridSpec) -> TilePayload {
         TilePayload::encode(self.render(spec), self.measure.integral_influence())
     }
