@@ -5,7 +5,7 @@
 //! The what-if scenario (ISSUE 3): an analyst holds a viewport open
 //! and scripts 16 facility edits — adds, moves, removes — around it.
 //! Per step the *edit path* applies the edit incrementally
-//! (`RnnHeatMap::{add,move,remove}_facility`: arrangement maintenance
+//! (`Session::{add,move,remove}_facility`: arrangement maintenance
 //! plus targeted tile invalidation) and re-renders the same viewport
 //! (only the invalidated tiles rasterize). The *rebuild path* —
 //! what the repo did before this subsystem — recomputes every
@@ -133,7 +133,7 @@ pub fn compare_edit_paths_k(
     let mut rebuild_ms = Vec::with_capacity(EDIT_STEPS);
     let mut identical = true;
     let mut added: Vec<u32> = Vec::new();
-    let misses_before_script = map.tile_cache_stats().misses;
+    let misses_before_script = map.cache_stats().misses;
     for step in 0..EDIT_STEPS {
         // Edit path: apply one edit, re-render the (warm) viewport.
         let p = site();
@@ -185,7 +185,7 @@ pub fn compare_edit_paths_k(
         drop(full);
     }
 
-    let stats = map.tile_cache_stats();
+    let stats = map.cache_stats();
     let edit_median_ms = median(&edit_ms);
     let rebuild_median_ms = median(&rebuild_ms);
     EditChurn {

@@ -272,7 +272,7 @@ impl DiskArrangement {
 /// `facilities` is ignored, each client's NN is its nearest *other*
 /// client, and `id` indexes `clients`. The distances are exactly what
 /// the arrangement builders use as NN-circle radii; the ids let
-/// [`crate::edit::DynamicArrangement`] maintain the assignment
+/// [`crate::snapshot::ArrangementSnapshot`] maintain the assignment
 /// incrementally under facility edits.
 pub fn nn_assignments(
     clients: &[Point],

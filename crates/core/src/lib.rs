@@ -31,13 +31,12 @@
 //! labeled regions stream into a [`sink::RegionSink`], so top-k /
 //! threshold post-processing (§I) and rasterization compose freely.
 //!
-//! Beyond the paper, [`edit::DynamicArrangement`] keeps an instance
-//! *editable*: facilities can be inserted, removed and moved with
-//! incremental NN-circle maintenance, each edit reporting the
-//! [`edit::DirtyRegion`] outside which nothing changed — the basis of
-//! interactive what-if exploration. Underneath it,
-//! [`snapshot::ArrangementSnapshot`] stores each committed version as
-//! an immutable, `Arc`-shareable snapshot with chunk-level
+//! Beyond the paper, [`snapshot::ArrangementSnapshot`] keeps an
+//! instance *editable*: facilities can be inserted, removed and moved
+//! with incremental NN-circle maintenance, each edit returning a
+//! successor snapshot and the [`edit::DirtyRegion`] outside which
+//! nothing changed — the basis of interactive what-if exploration.
+//! Snapshots are immutable and `Arc`-shareable, with chunk-level
 //! copy-on-write edits — `O(1)` forks and shared-nothing concurrent
 //! reads for the serving engine.
 
@@ -67,9 +66,7 @@ pub use arrangement::{
     build_square_arrangement_k, knn_assignments, knn_assignments_parallel, nn_assignments,
     CoordSpace, DiskArrangement, Mode, SquareArrangement,
 };
-pub use edit::{
-    ArrangementRef, CircleChange, DirtyRegion, DynamicArrangement, EditError, EditOutcome, Shape,
-};
+pub use edit::{ArrangementRef, CircleChange, DirtyRegion, EditError, EditOutcome, Shape};
 pub use measure::{
     CapacityMeasure, ConnectivityMeasure, CountMeasure, ExactFallback, IncrementalMeasure,
     InfluenceMeasure, WeightedMeasure,

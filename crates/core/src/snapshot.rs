@@ -1,11 +1,12 @@
 //! Snapshot-isolated arrangements: immutable, cheaply shareable
 //! versions of an editable RkNN instance (the serving substrate).
 //!
-//! [`crate::edit::DynamicArrangement`] gives one user an editable
-//! instance. A *serving* engine needs more: many concurrent readers
-//! rendering viewports while editors explore divergent what-if
-//! branches of the same dataset. This module supplies the storage
-//! model that makes that safe and cheap:
+//! What-if exploration needs an editable instance, and a *serving*
+//! engine needs many concurrent readers rendering viewports while
+//! editors explore divergent what-if branches of the same dataset.
+//! This module is the one editor, with a storage model that makes
+//! sharing it safe and cheap (`crate::edit` holds the edit
+//! vocabulary):
 //!
 //! * [`ArrangementSnapshot`] — an **immutable** problem instance plus
 //!   its NN-circle arrangement. Once committed (wrapped in an `Arc`) a
@@ -22,10 +23,9 @@
 //!   client instance copies a few tens of kilobytes, not megabytes.
 //!
 //! The maintained geometry is **bitwise identical** to a from-scratch
-//! rebuild over the current facility set at every `k` — the edit logic
-//! is the same as `DynamicArrangement`'s (which is now a thin
-//! single-user editor over this type); the differential proof lives in
-//! `tests/edits_match_rebuild.rs` and `edit.rs`'s unit tests.
+//! rebuild over the current facility set at every `k`; the
+//! differential proof lives in `tests/edits_match_rebuild.rs` and
+//! `edit.rs`'s unit tests.
 //!
 //! Sweeps, rasterizers and queries consume contiguous
 //! [`SquareArrangement`]/[`DiskArrangement`] slices; a snapshot
@@ -861,7 +861,9 @@ impl ArrangementSnapshot {
     }
 
     /// Adds a facility at `p`, returning the successor snapshot, the
-    /// new facility's id and what changed. `self` is untouched.
+    /// new facility's id and what changed. `self` is untouched. Every
+    /// client strictly closer to `p` than to its current `k`-th NN
+    /// admits `p` into its `k`-NN set and (usually) shrinks its circle.
     pub fn insert_facility(
         &self,
         p: Point,
@@ -895,7 +897,10 @@ impl ArrangementSnapshot {
     }
 
     /// Removes facility `id`, returning the successor snapshot and
-    /// what changed. `self` is untouched.
+    /// what changed. `self` is untouched. Exactly the clients whose
+    /// `k`-NN set contained `id` re-resolve their `k` nearest among the
+    /// remaining facilities; everyone else's `k` smallest distances are
+    /// provably unchanged.
     pub fn remove_facility(
         &self,
         id: u32,
@@ -923,6 +928,9 @@ impl ArrangementSnapshot {
 
     /// Moves facility `id` to `to` (remove + insert fused), returning
     /// the successor snapshot and what changed. `self` is untouched.
+    /// Clients with `id` in their `k`-NN set re-resolve it; every other
+    /// client checks whether `id`'s new location undercuts its current
+    /// `k`-th NN distance.
     pub fn move_facility(
         &self,
         id: u32,

@@ -47,7 +47,6 @@ pub use ops::{blit, blit_payload, diff, downsample, max_pixel, upsample_nearest}
 pub use quant::TilePayload;
 pub use raster::{GridSpec, HeatRaster};
 pub use render::{write_pgm, write_ppm, ColorRamp};
-pub use scanline::{refresh_disks_dirty, refresh_squares_dirty};
 pub use tiles::{
     CacheStats, Preview, ShardOccupancy, TileCache, TileId, TileKey, TileScheme, Viewport,
 };

@@ -256,56 +256,34 @@ impl RowShape for DiskShape {
     }
 }
 
-/// Grid arithmetic shared by the workers: a pixel *window*
-/// `[col0, col0+w) × [row0, row0+h)` of a parent [`GridSpec`] (the
-/// full grid is simply the full-size window). All indices exchanged
-/// with shapes are window-local; coordinate formulas evaluate the
-/// parent spec's arithmetic on the *global* index, replicating
-/// [`GridSpec::pixel_center`] operation for operation, so per-axis
-/// predicates see bit-identical values whether a pixel renders through
-/// a full frame or a dirty-rect window.
+/// Grid arithmetic shared by the workers. Coordinate formulas
+/// replicate [`GridSpec::pixel_center`] operation for operation, so
+/// per-axis predicates see the oracle's bit-identical values.
 struct Grid {
     spec: GridSpec,
-    col0: usize,
-    row0: usize,
-    w: usize,
-    h: usize,
 }
 
 impl Grid {
-    /// The whole grid as its own window.
-    fn full(spec: GridSpec) -> Grid {
-        Grid { spec, col0: 0, row0: 0, w: spec.width, h: spec.height }
-    }
-
-    /// A sub-window of `spec` (non-empty, inside the grid).
-    fn window(spec: GridSpec, cols: std::ops::Range<usize>, rows: std::ops::Range<usize>) -> Grid {
-        assert!(!cols.is_empty() && cols.end <= spec.width, "bad column window {cols:?}");
-        assert!(!rows.is_empty() && rows.end <= spec.height, "bad row window {rows:?}");
-        Grid { spec, col0: cols.start, row0: rows.start, w: cols.len(), h: rows.len() }
-    }
-
-    /// x-coordinate of the window-local column's center — bitwise
-    /// identical to [`GridSpec::pixel_center`]'s x for the global
-    /// column.
+    /// x-coordinate of the column's center — bitwise identical to
+    /// [`GridSpec::pixel_center`]'s x.
     #[inline]
     fn x_of_col(&self, col: usize) -> f64 {
         let ext = self.spec.extent;
-        ext.x_lo + ((self.col0 + col) as f64 + 0.5) * (ext.width() / self.spec.width as f64)
+        ext.x_lo + (col as f64 + 0.5) * (ext.width() / self.spec.width as f64)
     }
 
-    /// y-coordinate of the window-local row's center — bitwise
-    /// identical to [`GridSpec::pixel_center`]'s y for the global row.
+    /// y-coordinate of the row's center — bitwise identical to
+    /// [`GridSpec::pixel_center`]'s y.
     #[inline]
     fn y_of_row(&self, row: usize) -> f64 {
         let ext = self.spec.extent;
-        ext.y_lo + ((self.row0 + row) as f64 + 0.5) * (ext.height() / self.spec.height as f64)
+        ext.y_lo + (row as f64 + 0.5) * (ext.height() / self.spec.height as f64)
     }
 
-    /// The window-local pixel's center, via the parent spec.
+    /// The pixel's center.
     #[inline]
     fn center(&self, col: usize, row: usize) -> Point {
-        self.spec.pixel_center(self.col0 + col, self.row0 + row)
+        self.spec.pixel_center(col, row)
     }
 
     /// Slack (in pixels) covering the floating-point error of mapping
@@ -324,10 +302,9 @@ impl Grid {
         COL_MARGIN + 8.0 * f64::EPSILON * magnitude / pixel
     }
 
-    /// Conservative *window-local* pixel-column range whose centers
-    /// might lie in the continuous interval `iv`, widened by
-    /// [`Grid::error_margin`]. Computed on the parent grid, then
-    /// clamped and shifted into the window.
+    /// Conservative pixel-column range whose centers might lie in the
+    /// continuous interval `iv`, widened by [`Grid::error_margin`] and
+    /// clamped to the grid.
     fn candidate_range(&self, iv: Interval) -> Option<(usize, usize)> {
         let ext = self.spec.extent;
         let w = self.spec.width as f64;
@@ -335,15 +312,15 @@ impl Grid {
         let to_grid = |x: f64| (x - ext.x_lo) / ext.width() * w - 0.5;
         let lo = (to_grid(iv.lo) - margin).ceil();
         let hi = (to_grid(iv.hi) + margin).floor();
-        let (win_lo, win_hi) = (self.col0 as f64, (self.col0 + self.w - 1) as f64);
-        if hi < win_lo || lo > win_hi || lo.is_nan() || hi.is_nan() {
+        let last = (self.spec.width - 1) as f64;
+        if hi < 0.0 || lo > last || lo.is_nan() || hi.is_nan() {
             return None;
         }
-        Some((lo.max(win_lo) as usize - self.col0, hi.min(win_hi) as usize - self.col0))
+        Some((lo.max(0.0) as usize, hi.min(last) as usize))
     }
 
-    /// Conservative *window-local* pixel-row range for the continuous
-    /// y-interval `iv`, widened by [`Grid::error_margin`].
+    /// Conservative pixel-row range for the continuous y-interval
+    /// `iv`, widened by [`Grid::error_margin`] and clamped to the grid.
     fn candidate_rows(&self, iv: Interval) -> Option<(usize, usize)> {
         let ext = self.spec.extent;
         let h = self.spec.height as f64;
@@ -351,11 +328,11 @@ impl Grid {
         let to_grid = |y: f64| (y - ext.y_lo) / ext.height() * h - 0.5;
         let lo = (to_grid(iv.lo) - margin).ceil();
         let hi = (to_grid(iv.hi) + margin).floor();
-        let (win_lo, win_hi) = (self.row0 as f64, (self.row0 + self.h - 1) as f64);
-        if hi < win_lo || lo > win_hi || lo.is_nan() || hi.is_nan() {
+        let last = (self.spec.height - 1) as f64;
+        if hi < 0.0 || lo > last || lo.is_nan() || hi.is_nan() {
             return None;
         }
-        Some((lo.max(win_lo) as usize - self.row0, hi.min(win_hi) as usize - self.row0))
+        Some((lo.max(0.0) as usize, hi.min(last) as usize))
     }
 }
 
@@ -557,15 +534,15 @@ fn sweep_row<M: IncrementalMeasure>(
     }
 }
 
-/// Renders `shapes` onto `grid`'s window with `n_bands` row bands,
-/// returning the window's row-major values (`grid.w × grid.h`).
+/// Renders `shapes` onto `grid` with `n_bands` row bands, returning
+/// the row-major values.
 fn rasterize_scanline<S: RowShape, M: IncrementalMeasure + Sync>(
     shapes: &[S],
     measure: &M,
     grid: &Grid,
     n_bands: usize,
 ) -> Vec<f64> {
-    let (w, h) = (grid.w, grid.h);
+    let (w, h) = (grid.spec.width, grid.spec.height);
     let mut values = vec![0.0f64; w * h];
 
     // Bucket shapes by the first row they can touch; remember the last.
@@ -852,26 +829,16 @@ pub fn rasterize_squares_scanline_bands<M: IncrementalMeasure + Sync>(
     spec: GridSpec,
     n_bands: usize,
 ) -> HeatRaster {
-    let grid = Grid::full(spec);
-    HeatRaster::from_values(spec, squares_window_values(arr, measure, &grid, n_bands))
-}
-
-/// Scanline values of a square arrangement over one grid window.
-fn squares_window_values<M: IncrementalMeasure + Sync>(
-    arr: &SquareArrangement,
-    measure: &M,
-    grid: &Grid,
-    n_bands: usize,
-) -> Vec<f64> {
-    match arr.space {
+    let grid = Grid { spec };
+    let values = match arr.space {
         CoordSpace::Identity => {
             let shapes: Vec<AxisSquare> = arr
                 .squares
                 .iter()
                 .zip(&arr.owners)
-                .filter_map(|(rect, &owner)| AxisSquare::build(rect, owner, grid))
+                .filter_map(|(rect, &owner)| AxisSquare::build(rect, owner, &grid))
                 .collect();
-            rasterize_scanline(&shapes, measure, grid, n_bands)
+            rasterize_scanline(&shapes, measure, &grid, n_bands)
         }
         CoordSpace::Rotated45 => {
             let shapes: Vec<RotSquare> = arr
@@ -880,9 +847,10 @@ fn squares_window_values<M: IncrementalMeasure + Sync>(
                 .zip(&arr.owners)
                 .map(|(&rect, &owner)| RotSquare { rect, owner })
                 .collect();
-            rasterize_scanline(&shapes, measure, grid, n_bands)
+            rasterize_scanline(&shapes, measure, &grid, n_bands)
         }
-    }
+    };
+    HeatRaster::from_values(spec, values)
 }
 
 /// Scanline rasterization of a disk arrangement (L2), row-parallel
@@ -904,135 +872,16 @@ pub fn rasterize_disks_scanline_bands<M: IncrementalMeasure + Sync>(
     spec: GridSpec,
     n_bands: usize,
 ) -> HeatRaster {
-    let grid = Grid::full(spec);
-    HeatRaster::from_values(spec, disks_window_values(arr, measure, &grid, n_bands))
-}
-
-/// Scanline values of a disk arrangement over one grid window.
-fn disks_window_values<M: IncrementalMeasure + Sync>(
-    arr: &DiskArrangement,
-    measure: &M,
-    grid: &Grid,
-    n_bands: usize,
-) -> Vec<f64> {
     let shapes: Vec<DiskShape> = arr
         .disks
         .iter()
         .zip(&arr.owners)
         .map(|(&disk, &owner)| DiskShape { disk, bbox: disk.bbox(), owner })
         .collect();
-    rasterize_scanline(&shapes, measure, grid, n_bands)
+    let values = rasterize_scanline(&shapes, measure, &Grid { spec }, n_bands);
+    HeatRaster::from_values(spec, values)
 }
 
-/// The pixel window of `spec` that a dirty rectangle (input space) can
-/// touch: every pixel whose center might lie inside `rect`, padded by
-/// one pixel against rounding. `None` when the rect misses the grid.
-fn dirty_window(
-    spec: &GridSpec,
-    rect: &Rect,
-) -> Option<(std::ops::Range<usize>, std::ops::Range<usize>)> {
-    let ext = spec.extent;
-    let (w, h) = (spec.width as f64, spec.height as f64);
-    // The same coordinate-ULP slack as Grid::error_margin, so dirty
-    // windows stay conservative even at huge coordinate offsets.
-    let mx = Grid::error_margin(Interval::new(rect.x_lo, rect.x_hi), ext.x_lo, ext.width(), w);
-    let my = Grid::error_margin(Interval::new(rect.y_lo, rect.y_hi), ext.y_lo, ext.height(), h);
-    let c_lo = ((rect.x_lo - ext.x_lo) / ext.width() * w - mx).floor();
-    let c_hi = ((rect.x_hi - ext.x_lo) / ext.width() * w + mx).ceil();
-    let r_lo = ((rect.y_lo - ext.y_lo) / ext.height() * h - my).floor();
-    let r_hi = ((rect.y_hi - ext.y_lo) / ext.height() * h + my).ceil();
-    if c_hi <= 0.0 || c_lo >= w || r_hi <= 0.0 || r_lo >= h {
-        return None;
-    }
-    let cols = c_lo.max(0.0) as usize..(c_hi.min(w) as usize).max(1);
-    let rows = r_lo.max(0.0) as usize..(r_hi.min(h) as usize).max(1);
-    if cols.is_empty() || rows.is_empty() {
-        return None;
-    }
-    Some((cols, rows))
-}
-
-/// The input-space extent of a pixel window, padded by one pixel, for
-/// restricting the arrangement before a window render.
-fn window_extent(
-    spec: &GridSpec,
-    cols: &std::ops::Range<usize>,
-    rows: &std::ops::Range<usize>,
-) -> Rect {
-    let ext = spec.extent;
-    let px = ext.width() / spec.width as f64;
-    let py = ext.height() / spec.height as f64;
-    Rect::new(
-        ext.x_lo + (cols.start as f64 - 1.0) * px,
-        ext.x_lo + (cols.end as f64 + 1.0) * px,
-        ext.y_lo + (rows.start as f64 - 1.0) * py,
-        ext.y_lo + (rows.end as f64 + 1.0) * py,
-    )
-}
-
-/// Copies a window's values into the raster.
-fn blit_window(
-    raster: &mut HeatRaster,
-    values: &[f64],
-    cols: &std::ops::Range<usize>,
-    rows: &std::ops::Range<usize>,
-) {
-    let w = raster.spec.width;
-    let win_w = cols.len();
-    let out = raster.values_mut();
-    for (i, row) in rows.clone().enumerate() {
-        out[row * w + cols.start..row * w + cols.end]
-            .copy_from_slice(&values[i * win_w..(i + 1) * win_w]);
-    }
-}
-
-/// Re-renders, *in place*, exactly the pixels of `raster` that a
-/// what-if edit may have changed: for each rectangle of `dirty` (input
-/// space), the covering pixel window is recomputed through the
-/// scanline engine against the *edited* arrangement — restricted to
-/// the window's extent, so cost is local to the edit — and blitted
-/// back. Pixels outside the dirty region are untouched; they provably
-/// kept their RNN sets (see `rnnhm_core::edit`).
-///
-/// The refreshed raster is **bit-identical** to a from-scratch
-/// [`rasterize_squares_scanline`] of the same spec over the edited
-/// arrangement, for every order-insensitive exact measure: window
-/// pixel centers are evaluated with the parent grid's own arithmetic
-/// (property-tested in `tests/edits_match_rebuild.rs`).
-pub fn refresh_squares_dirty<M: IncrementalMeasure + Sync>(
-    arr: &SquareArrangement,
-    measure: &M,
-    raster: &mut HeatRaster,
-    dirty: &rnnhm_core::edit::DirtyRegion,
-) {
-    let spec = raster.spec;
-    for rect in dirty.rects() {
-        if let Some((cols, rows)) = dirty_window(&spec, rect) {
-            let sub = arr.restrict_to(window_extent(&spec, &cols, &rows));
-            let grid = Grid::window(spec, cols.clone(), rows.clone());
-            let values = squares_window_values(&sub, measure, &grid, 1);
-            blit_window(raster, &values, &cols, &rows);
-        }
-    }
-}
-
-/// Disk-arrangement (L2) variant of [`refresh_squares_dirty`].
-pub fn refresh_disks_dirty<M: IncrementalMeasure + Sync>(
-    arr: &DiskArrangement,
-    measure: &M,
-    raster: &mut HeatRaster,
-    dirty: &rnnhm_core::edit::DirtyRegion,
-) {
-    let spec = raster.spec;
-    for rect in dirty.rects() {
-        if let Some((cols, rows)) = dirty_window(&spec, rect) {
-            let sub = arr.restrict_to(window_extent(&spec, &cols, &rows));
-            let grid = Grid::window(spec, cols.clone(), rows.clone());
-            let values = disks_window_values(&sub, measure, &grid, 1);
-            blit_window(raster, &values, &cols, &rows);
-        }
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1247,72 +1096,6 @@ mod tests {
                 assert!(b == 1 || h / b >= MIN_ROWS_PER_BAND, "h={h}, {cores} cores");
             }
         }
-    }
-
-    #[test]
-    fn dirty_refresh_matches_full_rerender() {
-        use rnnhm_core::edit::DirtyRegion;
-        // Start from arrangement A, render; mutate one square (as an
-        // edit would); refresh only the dirty window; the result must
-        // be bit-identical to a full re-render of the mutated
-        // arrangement — including pixels on the window's rim.
-        let mut arr = arr_from_squares(pseudo_squares(40, 31));
-        let spec = GridSpec::new(57, 43, Rect::new(0.0, 10.0, 0.0, 10.0));
-        let mut raster = rasterize_squares_scanline_bands(&arr, &CountMeasure, spec, 2);
-
-        let old = arr.squares[7];
-        let new = Rect::centered(Point::new(3.3, 6.1), 1.4);
-        arr.squares[7] = new;
-        let mut dirty = DirtyRegion::new();
-        dirty.push(old.union(&new));
-
-        refresh_squares_dirty(&arr, &CountMeasure, &mut raster, &dirty);
-        let full = rasterize_squares_scanline_bands(&arr, &CountMeasure, spec, 1);
-        assert_rasters_identical(&raster, &full);
-
-        // Disks too, with a shape dropped entirely (circle vanishes).
-        let mut next = pseudo(20, 5);
-        let disks: Vec<Circle> = (0..20)
-            .map(|_| Circle::new(Point::new(next() * 8.0 + 1.0, next() * 8.0 + 1.0), 0.3 + next()))
-            .collect();
-        let owners = (0..disks.len() as u32).collect();
-        let n = disks.len();
-        let mut darr = DiskArrangement { disks, owners, n_clients: n, dropped: 0, k: 1 };
-        let mut draster = rasterize_disks_scanline_bands(&darr, &CountMeasure, spec, 1);
-        let gone = darr.disks.swap_remove(3);
-        darr.owners.swap_remove(3);
-        darr.dropped += 1;
-        let mut ddirty = DirtyRegion::new();
-        ddirty.push(gone.bbox());
-        refresh_disks_dirty(&darr, &CountMeasure, &mut draster, &ddirty);
-        let dfull = rasterize_disks_scanline_bands(&darr, &CountMeasure, spec, 1);
-        assert_rasters_identical(&draster, &dfull);
-    }
-
-    #[test]
-    fn dirty_refresh_off_grid_and_multi_rect() {
-        use rnnhm_core::edit::DirtyRegion;
-        let arr = arr_from_squares(pseudo_squares(25, 8));
-        let spec = GridSpec::new(33, 29, Rect::new(0.0, 10.0, 0.0, 10.0));
-        let full = rasterize_squares_scanline_bands(&arr, &CountMeasure, spec, 1);
-        // Refreshing any dirty region over an *unchanged* arrangement
-        // must be a no-op on the pixels (idempotence), including rects
-        // fully or partially off the grid.
-        let mut raster = full.clone();
-        let mut dirty = DirtyRegion::new();
-        dirty.push(Rect::new(-50.0, -40.0, 0.0, 10.0)); // fully off
-        dirty.push(Rect::new(8.0, 20.0, -5.0, 2.0)); // straddles two edges
-        dirty.push(Rect::new(2.0, 3.0, 2.0, 3.0));
-        dirty.push(Rect::new(2.5, 4.0, 2.5, 4.0)); // overlaps previous
-        refresh_squares_dirty(&arr, &CountMeasure, &mut raster, &dirty);
-        assert_rasters_identical(&raster, &full);
-        // L1 (rotated frame) windows go through the same machinery.
-        let mut rot = arr_from_squares(pseudo_squares(25, 8));
-        rot.space = CoordSpace::Rotated45;
-        let rot_full = rasterize_squares_scanline_bands(&rot, &CountMeasure, spec, 1);
-        let mut rot_raster = rot_full.clone();
-        refresh_squares_dirty(&rot, &CountMeasure, &mut rot_raster, &dirty);
-        assert_rasters_identical(&rot_raster, &rot_full);
     }
 
     #[test]

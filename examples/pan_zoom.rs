@@ -54,7 +54,7 @@ fn main() {
         let start = rnnhm_core::clock::now();
         let frame = map.viewport(*rect, px_w, px_h);
         let ms = start.elapsed().as_secs_f64() * 1e3;
-        let stats = map.tile_cache_stats();
+        let stats = map.cache_stats();
         let (_, hottest) = frame.min_max();
         println!(
             "{label:>20}: {}x{} px in {ms:6.1} ms | preview {:3.0}% resolved | \
@@ -72,7 +72,7 @@ fn main() {
     }
 
     // Shard + single-flight accounting of the whole camera path.
-    let st = map.tile_cache_stats();
+    let st = map.cache_stats();
     let occupancy: Vec<String> = st.shards.iter().map(|s| s.entries.to_string()).collect();
     println!(
         "\ncache: high water {:.1} MiB | per-shard occupancy [{}] | \

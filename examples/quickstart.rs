@@ -43,7 +43,7 @@ fn main() {
     let frame = map.viewport(view, 512, 512); // renders + caches the covering tiles
     let preview = map.viewport_preview(view, 512, 512); // instant, cache-only
     assert_eq!(preview.resolved, 1.0); // the whole viewport is already cached
-    let stats = map.tile_cache_stats();
+    let stats = map.cache_stats();
     println!(
         "viewport {}x{} px from {} cached tiles (preview {:.0}% resolved)",
         frame.spec.width,

@@ -9,10 +9,10 @@
 //! exploration*: an analyst asks "what if I open a store here?" and
 //! watches influence shift. Each edit below goes through the
 //! incremental edit path (`rnnhm_core::edit`): only the NN-circles of
-//! affected clients update, only the cached viewport tiles
-//! intersecting the returned dirty region re-render, and a full-frame
-//! raster held across the edits is repaired in place with
-//! `refresh_raster` instead of re-rendered.
+//! affected clients update, and only the cached viewport tiles
+//! intersecting the returned dirty region re-render. The example
+//! asserts that opening, moving and closing a facility restores the
+//! first frame bit for bit.
 
 use std::time::Instant;
 
@@ -30,20 +30,17 @@ fn main() {
         .build(CountMeasure)
         .expect("non-empty input");
 
-    // Open a viewport over the whole city and hold a full-frame raster
-    // too (two consumers of the same edits).
+    // Open a viewport over the whole city and keep its first frame.
     let view = Rect::new(0.0, 1.0, 0.0, 1.0);
     let (px_w, px_h) = (512, 512);
-    let frame = map.viewport(view, px_w, px_h);
-    let mut held = map.raster(frame.spec);
+    let first = map.viewport(view, px_w, px_h);
     println!(
         "city heat map: {} NN-circles, {} facilities, viewport {}x{} px\n",
         map.n_circles(),
         map.n_facilities(),
-        frame.spec.width,
-        frame.spec.height
+        first.spec.width,
+        first.spec.height
     );
-    drop(frame);
 
     // Where would a new facility matter most? Ask the heat map.
     let best = map.max_region().expect("regions exist");
@@ -57,7 +54,7 @@ fn main() {
     // up and close it. Every step reports what the edit touched.
     let mut opened = None;
     for step in 0..3 {
-        let before = map.tile_cache_stats();
+        let before = map.cache_stats();
         let start = rnnhm_core::clock::now();
         let (label, dirty) = match step {
             0 => {
@@ -75,16 +72,15 @@ fn main() {
                 ("close it again", map.remove_facility(id).expect("live id"))
             }
         };
-        map.refresh_raster(&mut held, &dirty);
-        let refreshed = ms(start);
+        let edited = ms(start);
         let start = rnnhm_core::clock::now();
         let frame = map.viewport(view, px_w, px_h);
         let rendered = ms(start);
-        let stats = map.tile_cache_stats();
+        let stats = map.cache_stats();
         let dirty_area: f64 = dirty.rects().iter().map(Rect::area).sum();
         println!(
             "{label:>22}: dirty {:5.1}% of the map in {} box(es) | {} tiles invalidated, {} \
-             re-rendered | edit+refresh {refreshed:5.1} ms, viewport {rendered:5.1} ms | peak \
+             re-rendered | edit {edited:5.1} ms, viewport {rendered:5.1} ms | peak \
              influence {:.0}",
             dirty_area * 100.0 / view.area(),
             dirty.rects().len(),
@@ -97,12 +93,15 @@ fn main() {
 
     // After open + move + close, the field is exactly the original.
     let back = map.viewport(view, px_w, px_h);
-    let identical =
-        back.values().iter().zip(held.values()).all(|(a, b)| a.to_bits() == b.to_bits());
-    let stats = map.tile_cache_stats();
+    assert_eq!(back.spec, first.spec);
+    assert!(
+        back.values().iter().zip(first.values()).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "the restored viewport must equal the first frame bit for bit"
+    );
+    let stats = map.cache_stats();
     let occupancy: Vec<String> = stats.shards.iter().map(|s| s.entries.to_string()).collect();
     println!(
-        "\nround trip: viewport and refreshed raster agree bit-for-bit: {identical}\n\
+        "\nround trip: restored viewport equals the first frame bit for bit\n\
          cache over the session: {} hits, {} misses, {} invalidations, {} tiles / {:.1} MiB\n\
          (high water {:.1} MiB | per-shard occupancy [{}] | single-flight {} waits, {} dedups)",
         stats.hits,

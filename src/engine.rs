@@ -33,8 +33,8 @@
 //!   forks still serve the parent — so both branches stay warm
 //!   everywhere outside the edit's dirty region.
 //!
-//! [`crate::RnnHeatMap`] is a single-session engine: the same code
-//! path, with the engine handle dropped so exclusive-session edit
+//! [`crate::HeatMapBuilder::build`] returns a single session of an
+//! engine whose handle is dropped, so exclusive-session edit
 //! propagation applies.
 //!
 //! ```
@@ -83,10 +83,7 @@ use rnnhm_heatmap::compute::{rasterize_disks, rasterize_squares};
 use rnnhm_heatmap::mipmap::HeatMipmap;
 use rnnhm_heatmap::quant::TilePayload;
 use rnnhm_heatmap::raster::{GridSpec, HeatRaster};
-use rnnhm_heatmap::scanline::{
-    rasterize_disks_scanline_bands, rasterize_squares_scanline_bands, refresh_disks_dirty,
-    refresh_squares_dirty,
-};
+use rnnhm_heatmap::scanline::{rasterize_disks_scanline_bands, rasterize_squares_scanline_bands};
 use rnnhm_heatmap::tiles::{CacheStats, Preview, TileCache, TileId, TileScheme};
 
 /// Registry prune cadence: dead snapshot weak-refs are swept every
@@ -230,8 +227,8 @@ struct RegionsCache {
 /// The engine hands out [`Session`]s; it keeps the root snapshot
 /// alive, so root-forked sessions propagate their edits by *aliasing*
 /// (the root's warm tiles are never stolen). Dropping the engine —
-/// as [`crate::RnnHeatMap`] does for its single session — releases
-/// that hold.
+/// as [`crate::HeatMapBuilder::build`] does for its single session —
+/// releases that hold.
 pub struct ExplorationEngine<M: InfluenceMeasure> {
     shared: Arc<EngineShared<M>>,
     root: Arc<ArrangementSnapshot>,
@@ -285,7 +282,7 @@ impl<M: InfluenceMeasure> ExplorationEngine<M> {
 
     /// Consumes the engine into a session on the root snapshot,
     /// releasing the engine's hold on the root (the single-user mode
-    /// [`crate::RnnHeatMap`] runs in).
+    /// [`crate::HeatMapBuilder::build`] returns).
     pub fn into_session(self) -> Session<M> {
         Session {
             shared: self.shared,
@@ -466,6 +463,11 @@ impl<M: InfluenceMeasure> Session<M> {
     /// All labeled regions of the snapshot, from one full sweep run on
     /// first use. One region may carry several labels (CREST relabels
     /// a region a bounded number of times — Lemma 3).
+    ///
+    /// This *clones* the full list (each label owns its RNN vector);
+    /// for read-only access at scale use [`Session::with_regions`], or
+    /// [`Session::top_k`] / [`Session::at_least`], which only copy what
+    /// they return.
     pub fn regions(&self) -> Vec<LabeledRegion> {
         self.with_list(|list, _| list.to_vec())
     }
@@ -734,19 +736,6 @@ impl<M: InfluenceMeasure> Session<M> {
         }
         lod.insert(self.snap.fingerprint(), LodState::Patch { ancestor, dirty });
     }
-
-    /// Renders the heat map with the per-pixel-stab reference path —
-    /// available for any [`InfluenceMeasure`].
-    pub fn raster_oracle(&self, spec: GridSpec) -> HeatRaster {
-        match self.snap.arrangement() {
-            ArrangementRef::Square(arr) => {
-                rnnhm_heatmap::rasterize_squares_oracle(arr, &self.shared.measure, spec)
-            }
-            ArrangementRef::Disk(arr) => {
-                rnnhm_heatmap::rasterize_disks_oracle(arr, &self.shared.measure, spec)
-            }
-        }
-    }
 }
 
 /// The outcome of a deadline-bounded viewport render
@@ -827,27 +816,13 @@ impl<M: IncrementalMeasure + Sync> RestrictedBase<'_, M> {
 
 impl<M: IncrementalMeasure + Sync> Session<M> {
     /// Renders the heat map exactly over `spec` (input-space extent)
-    /// with the row-parallel scanline rasterizer.
+    /// with the row-parallel scanline rasterizer. Measures without a
+    /// native [`IncrementalMeasure`] implementation render through
+    /// [`rnnhm_core::measure::ExactFallback`].
     pub fn raster(&self, spec: GridSpec) -> HeatRaster {
         match self.snap.arrangement() {
             ArrangementRef::Square(arr) => rasterize_squares(arr, &self.shared.measure, spec),
             ArrangementRef::Disk(arr) => rasterize_disks(arr, &self.shared.measure, spec),
-        }
-    }
-
-    /// Re-renders, in place, exactly the pixels of a previously
-    /// rendered full-frame raster that an edit's [`DirtyRegion`] may
-    /// have changed. The refreshed raster is bit-identical to a fresh
-    /// [`Session::raster`] of the same spec (for the order-insensitive
-    /// exact measures).
-    pub fn refresh_raster(&self, raster: &mut HeatRaster, dirty: &DirtyRegion) {
-        match self.snap.arrangement() {
-            ArrangementRef::Square(arr) => {
-                refresh_squares_dirty(arr, &self.shared.measure, raster, dirty)
-            }
-            ArrangementRef::Disk(arr) => {
-                refresh_disks_dirty(arr, &self.shared.measure, raster, dirty)
-            }
         }
     }
 

@@ -27,11 +27,11 @@
 //! ## What-if editing
 //!
 //! Bichromatic maps stay *live* under facility edits
-//! ([`RnnHeatMap::add_facility`] / [`RnnHeatMap::remove_facility`] /
-//! [`RnnHeatMap::move_facility`]): the NN-circle arrangement is
-//! maintained incrementally (`rnnhm_core::edit`), cached viewport tiles
-//! outside the returned [`DirtyRegion`] survive the edit, and region
-//! answers reset: the next region query re-sweeps the edited
+//! ([`Session::add_facility`] / [`Session::remove_facility`] /
+//! [`Session::move_facility`]): each edit commits a successor snapshot
+//! (`rnnhm_core::snapshot`), cached viewport tiles outside the returned
+//! [`DirtyRegion`](rnnhm_core::edit::DirtyRegion) survive the edit, and
+//! region answers reset: the next region query re-sweeps the edited
 //! arrangement (top-k straight into a bounded sink). See
 //! `examples/what_if.rs` for a walkthrough.
 //!
@@ -55,33 +55,29 @@
 //!
 //! ## Concurrent sessions
 //!
-//! `RnnHeatMap` is one user's heat map — internally, a single
-//! [`Session`] of the concurrent [`ExplorationEngine`]. To serve many
+//! [`HeatMapBuilder::build`] returns one user's heat map: a [`Session`]
+//! of an [`ExplorationEngine`] whose handle is dropped. To serve many
 //! analysts (shared warm tiles, `O(1)` forks, divergent what-if
 //! branches, lock-free snapshot reads), build the engine directly with
 //! [`HeatMapBuilder::build_engine`]; see `crate::engine` and
-//! `examples/serve.rs`.
+//! `examples/concurrent_sessions.rs`.
 
-use rnnhm_core::edit::{DirtyRegion, EditError};
-use rnnhm_core::measure::{IncrementalMeasure, InfluenceMeasure};
-use rnnhm_core::sink::LabeledRegion;
+use rnnhm_core::measure::InfluenceMeasure;
 use rnnhm_core::snapshot::ArrangementSnapshot;
-use rnnhm_core::stats::SweepStats;
 use rnnhm_core::{BuildError, Mode};
-use rnnhm_geom::{Metric, Point, Rect};
-use rnnhm_heatmap::raster::{GridSpec, HeatRaster};
-use rnnhm_heatmap::tiles::{CacheStats, Preview, TileScheme};
+use rnnhm_geom::{Metric, Point};
 
 use crate::engine::{ExplorationEngine, Session};
 
-/// Default byte budget of a heat map's tile cache (64 MiB — roughly
-/// 120 cached 256×256 tiles, spread over the cache's hash shards).
+/// Default byte budget of a heat map's tile cache (64 MiB — about
+/// 4,700 of `pan_zoom`'s ~14 KB count tiles, spread over the cache's
+/// hash shards).
 const DEFAULT_TILE_CACHE_BYTES: usize = 64 << 20;
 
 /// Default tile edge in pixels (the web-map convention).
 const DEFAULT_TILE_PX: usize = 256;
 
-/// Configures and builds an [`RnnHeatMap`] (one session) or an
+/// Configures and builds a [`Session`] (one user) or an
 /// [`ExplorationEngine`] (many concurrent sessions).
 #[derive(Debug, Clone)]
 pub struct HeatMapBuilder {
@@ -191,19 +187,19 @@ impl HeatMapBuilder {
         self
     }
 
-    /// Builds the NN-circle arrangement (kept editable) under `measure`.
+    /// Builds the NN-circle arrangement (kept editable) under `measure`
+    /// as a single-user [`Session`]. The engine handle is dropped, so
+    /// the session is its snapshots' sole user and edits *move* clean
+    /// cached tiles to the new fingerprint (nobody else could be
+    /// reading them).
     ///
     /// Region labeling (the CREST sweep) is *lazy*: it runs on the
-    /// first call to [`RnnHeatMap::regions`] / [`RnnHeatMap::top_k`] /
-    /// [`RnnHeatMap::max_region`] / [`RnnHeatMap::at_least`] /
-    /// [`RnnHeatMap::stats`], so maps built purely for rendering or
+    /// first call to [`Session::regions`] / [`Session::top_k`] /
+    /// [`Session::max_region`] / [`Session::at_least`] /
+    /// [`Session::stats`], so maps built purely for rendering or
     /// editing never pay for it.
-    pub fn build<M: InfluenceMeasure>(self, measure: M) -> Result<RnnHeatMap<M>, BuildError> {
-        // A single-session engine: the engine handle is dropped, so
-        // this session is its snapshots' sole user and edits *move*
-        // clean cached tiles to the new fingerprint (nobody else could
-        // be reading them).
-        Ok(RnnHeatMap { session: self.build_engine(measure)?.into_session() })
+    pub fn build<M: InfluenceMeasure>(self, measure: M) -> Result<Session<M>, BuildError> {
+        Ok(self.build_engine(measure)?.into_session())
     }
 
     /// Builds a concurrent [`ExplorationEngine`] under `measure`: one
@@ -240,215 +236,13 @@ impl HeatMapBuilder {
     }
 }
 
-/// An RNN heat map: an editable NN-circle arrangement whose regions are
-/// labeled with their RNN set and influence on demand, plus query,
-/// rendering and what-if editing entry points. An edit resets the
-/// region answers; the next region query re-sweeps.
-///
-/// Since the snapshot refactor this is a thin wrapper over a single
-/// [`Session`] of the concurrent [`ExplorationEngine`] — same code
-/// path, same bit-exact outputs, one user.
-pub struct RnnHeatMap<M: InfluenceMeasure> {
-    session: Session<M>,
-}
-
-impl<M: InfluenceMeasure> RnnHeatMap<M> {
-    /// The underlying engine [`Session`], for interop with code that
-    /// speaks the concurrent API (snapshots, forking via
-    /// [`Session::fork`], shared-cache statistics).
-    pub fn session(&self) -> &Session<M> {
-        &self.session
-    }
-
-    /// All labeled regions, from one full sweep run on first use (and
-    /// again after each edit). One region may carry several labels
-    /// (CREST relabels a region a bounded number of times — Lemma 3).
-    ///
-    /// This *clones* the full list (each label owns its RNN vector);
-    /// for read-only access at scale use [`RnnHeatMap::with_regions`],
-    /// or the [`RnnHeatMap::top_k`] / [`RnnHeatMap::at_least`]
-    /// accessors, which only copy what they return.
-    pub fn regions(&self) -> Vec<LabeledRegion> {
-        self.session.regions()
-    }
-
-    /// Runs `f` over the labeled regions *in place* — no cloning —
-    /// computing them on first use. The region lock is held for the
-    /// duration of `f`; don't call other region accessors or edit
-    /// operations from inside it.
-    pub fn with_regions<R>(&self, f: impl FnOnce(&[LabeledRegion]) -> R) -> R {
-        self.session.with_regions(f)
-    }
-
-    /// Statistics of the sweep that produced [`RnnHeatMap::regions`]
-    /// (`labels` is the paper's `k`).
-    pub fn stats(&self) -> SweepStats {
-        self.session.stats()
-    }
-
-    /// The `k` most influential regions (deduplicated by RNN set), from
-    /// one sweep into a bounded sink; see [`Session::top_k`].
-    pub fn top_k(&self, k: usize) -> Vec<LabeledRegion> {
-        self.session.top_k(k)
-    }
-
-    /// The single most influential region.
-    pub fn max_region(&self) -> Option<LabeledRegion> {
-        self.session.max_region()
-    }
-
-    /// Regions with influence at or above `min_influence`.
-    pub fn at_least(&self, min_influence: f64) -> Vec<LabeledRegion> {
-        self.session.at_least(min_influence)
-    }
-
-    /// The RNN set and influence of an arbitrary location (input-space
-    /// coordinates) — the candidate-scoring query of \[11\]/\[27\].
-    pub fn influence_at(&self, q: Point) -> (Vec<u32>, f64) {
-        self.session.influence_at(q)
-    }
-
-    /// Maps a labeled region's representative point back to input-space
-    /// coordinates (L1 maps live in a rotated sweep frame).
-    pub fn region_center(&self, region: &LabeledRegion) -> Point {
-        self.session.region_center(region)
-    }
-
-    /// Number of NN-circles in the arrangement.
-    pub fn n_circles(&self) -> usize {
-        self.session.n_circles()
-    }
-
-    /// Live facilities as `(id, location)`; the ids are stable across
-    /// edits and valid for [`RnnHeatMap::remove_facility`] /
-    /// [`RnnHeatMap::move_facility`].
-    pub fn facilities(&self) -> Vec<(u32, Point)> {
-        self.session.facilities()
-    }
-
-    /// Number of live facilities (0 for monochromatic maps).
-    pub fn n_facilities(&self) -> usize {
-        self.session.n_facilities()
-    }
-
-    /// How many geometry-changing edits this map has absorbed.
-    pub fn generation(&self) -> u64 {
-        self.session.generation()
-    }
-
-    /// The `k` of the RkNN influence model this map was built with
-    /// ([`HeatMapBuilder::k`]; 1 = plain RNN).
-    pub fn k(&self) -> usize {
-        self.session.k()
-    }
-
-    /// The tile-pyramid geometry serving this heat map's viewports.
-    pub fn tile_scheme(&self) -> &TileScheme {
-        self.session.tile_scheme()
-    }
-
-    /// Hit/miss/eviction/invalidation statistics of the viewport tile
-    /// cache, including per-shard occupancy and single-flight
-    /// counters.
-    pub fn tile_cache_stats(&self) -> CacheStats {
-        self.session.cache_stats()
-    }
-
-    /// An *instant* coarse image of the viewport, built purely from
-    /// already-cached tiles: exact tiles where cached, parent tiles
-    /// upsampled where not, the empty-set influence elsewhere. Never
-    /// renders — pair it with [`RnnHeatMap::viewport`] (run the
-    /// preview first, display it, then replace it with the exact
-    /// raster once `viewport` returns). On a fully cold cache the
-    /// preview is the empty-set influence everywhere and
-    /// `Preview::resolved` is `0.0`.
-    pub fn viewport_preview(&self, rect: Rect, px_w: usize, px_h: usize) -> Preview {
-        self.session.viewport_preview(rect, px_w, px_h)
-    }
-
-    // ---- what-if editing -------------------------------------------------
-
-    /// Adds a facility at `p`, returning its id and the dirty region
-    /// (everything outside it provably kept its influence).
-    ///
-    /// The arrangement updates incrementally (committing a new
-    /// snapshot that shares all unchanged storage with the old one);
-    /// cached viewport tiles intersecting the dirty region are
-    /// invalidated while all others stay warm under the new snapshot
-    /// fingerprint; region answers reset, so the next region query
-    /// re-sweeps the edited arrangement. Errors on monochromatic maps.
-    pub fn add_facility(&mut self, p: Point) -> Result<(u32, DirtyRegion), EditError> {
-        self.session.add_facility(p)
-    }
-
-    /// Removes facility `id`; its clients re-resolve their NN. See
-    /// [`RnnHeatMap::add_facility`] for what stays live.
-    pub fn remove_facility(&mut self, id: u32) -> Result<DirtyRegion, EditError> {
-        self.session.remove_facility(id)
-    }
-
-    /// Moves facility `id` to `to` (remove + insert in one pass). See
-    /// [`RnnHeatMap::add_facility`] for what stays live.
-    pub fn move_facility(&mut self, id: u32, to: Point) -> Result<DirtyRegion, EditError> {
-        self.session.move_facility(id, to)
-    }
-
-    /// Renders the heat map with the per-pixel-stab reference path —
-    /// available for any [`InfluenceMeasure`], at
-    /// `O(P · (log n + α + measure))` cost.
-    pub fn raster_oracle(&self, spec: GridSpec) -> HeatRaster {
-        self.session.raster_oracle(spec)
-    }
-}
-
-impl<M: IncrementalMeasure + Sync> RnnHeatMap<M> {
-    /// Renders the heat map exactly over `spec` (input-space extent)
-    /// with the row-parallel scanline rasterizer.
-    ///
-    /// Measures without a native [`IncrementalMeasure`] implementation
-    /// can build the map through
-    /// [`rnnhm_core::measure::ExactFallback`], or render with
-    /// [`RnnHeatMap::raster_oracle`].
-    pub fn raster(&self, spec: GridSpec) -> HeatRaster {
-        self.session.raster(spec)
-    }
-
-    /// Re-renders, in place, exactly the pixels of a previously
-    /// rendered full-frame raster that an edit's [`DirtyRegion`] may
-    /// have changed — the full-frame analog of the tile layer's
-    /// targeted invalidation. The refreshed raster is bit-identical to
-    /// a fresh [`RnnHeatMap::raster`] of the same spec (for the
-    /// order-insensitive exact measures; see
-    /// `rnnhm_heatmap::scanline::refresh_squares_dirty`).
-    pub fn refresh_raster(&self, raster: &mut HeatRaster, dirty: &DirtyRegion) {
-        self.session.refresh_raster(raster, dirty)
-    }
-
-    /// Renders the viewport `rect` at (at least) `px_w × px_h` pixels
-    /// through the tile pyramid: resolves the zoom level, fetches the
-    /// covering tiles — cache hits are reused bitwise, misses render in
-    /// parallel across all cores — and stitches them into one raster.
-    ///
-    /// The result is snapped to the tile grid's pixel lattice (its
-    /// [`GridSpec`] reports the exact extent, which always covers
-    /// `rect` clamped to the [`RnnHeatMap::tile_scheme`] world) and is
-    /// **bit-identical** to a one-shot [`RnnHeatMap::raster`] of that
-    /// same spec — caching never changes pixels. Repeated overlapping
-    /// viewports (panning, zoom-outs over rendered areas) hit the
-    /// cache and skip most of the rasterization work; see
-    /// `BENCH_tiles.json`. What-if edits keep every cached tile
-    /// outside their dirty region valid and warm; see
-    /// `BENCH_edits.json`.
-    pub fn viewport(&self, rect: Rect, px_w: usize, px_h: usize) -> HeatRaster {
-        self.session.viewport(rect, px_w, px_h)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rnnhm_core::edit::EditError;
     use rnnhm_core::measure::CountMeasure;
     use rnnhm_geom::Rect;
+    use rnnhm_heatmap::raster::GridSpec;
 
     fn toy() -> (Vec<Point>, Vec<Point>) {
         (
@@ -536,12 +330,12 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{metric:?}");
             }
             // A repeat of the same viewport is served from the cache.
-            let cold = map.tile_cache_stats();
+            let cold = map.cache_stats();
             assert_eq!(cold.hits, 0);
             assert!(cold.misses > 0 && cold.entries > 0);
             let again = map.viewport(rect, 50, 60);
             assert_eq!(again.values(), stitched.values());
-            let warm = map.tile_cache_stats();
+            let warm = map.cache_stats();
             assert_eq!(warm.misses, cold.misses, "no new renders on a warm pan");
             assert_eq!(warm.hits as usize, cold.entries);
         }
@@ -693,8 +487,8 @@ mod tests {
             let (id, _) = map.add_facility(Point::new(3.0, 3.0)).unwrap();
             map.move_facility(id, Point::new(0.5, 2.5)).unwrap();
             let rebuilt = HeatMapBuilder::bichromatic(
-                map.session().snapshot().clients().to_vec(),
-                map.session().snapshot().facility_points(),
+                map.snapshot().clients().to_vec(),
+                map.snapshot().facility_points(),
             )
             .metric(metric)
             .build(CountMeasure)
@@ -732,19 +526,19 @@ mod tests {
         let far = Rect::new(18.0, 22.0, 18.0, 22.0);
         let _ = map.viewport(near, 32, 32);
         let _ = map.viewport(far, 32, 32);
-        let warm = map.tile_cache_stats();
+        let warm = map.cache_stats();
 
         // Edit inside the near viewport.
         let (_, dirty) = map.add_facility(Point::new(2.0, 2.0)).unwrap();
         assert!(dirty.rects().iter().all(|r| r.x_hi < 18.0), "edit is local to the near area");
-        let stats = map.tile_cache_stats();
+        let stats = map.cache_stats();
         assert!(stats.invalidations > 0, "some near tiles must be invalidated");
 
         // The far viewport re-renders nothing: all its tiles were
         // re-keyed to the new fingerprint, not dropped.
-        let misses_before = map.tile_cache_stats().misses;
+        let misses_before = map.cache_stats().misses;
         let _ = map.viewport(far, 32, 32);
-        assert_eq!(map.tile_cache_stats().misses, misses_before, "far viewport fully warm");
+        assert_eq!(map.cache_stats().misses, misses_before, "far viewport fully warm");
 
         // The near viewport re-renders exactly the dirty tiles, and the
         // result is bit-identical to an uncached render of its spec.
@@ -755,7 +549,7 @@ mod tests {
             .filter(|&&t| dirty.intersects(&map.tile_scheme().tile_extent(t)))
             .count();
         let frame = map.viewport(near, 32, 32);
-        let rerenders = (map.tile_cache_stats().misses - misses_before) as usize;
+        let rerenders = (map.cache_stats().misses - misses_before) as usize;
         assert_eq!(rerenders, expected_rerenders, "exactly the dirty tiles re-render");
         let one_shot = map.raster(frame.spec);
         for (a, b) in frame.values().iter().zip(one_shot.values()) {

@@ -53,7 +53,7 @@ pub mod engine;
 pub mod highlevel;
 
 pub use engine::{ExplorationEngine, RegistryStats, Session, TileFrame, ViewportFrame};
-pub use highlevel::{HeatMapBuilder, RnnHeatMap};
+pub use highlevel::HeatMapBuilder;
 pub use rnnhm_core as core;
 pub use rnnhm_data as data;
 pub use rnnhm_geom as geom;
@@ -72,8 +72,7 @@ pub mod prelude {
     pub use rnnhm_core::crest::{crest_a_sweep, crest_sweep};
     pub use rnnhm_core::crest_l2::crest_l2_sweep;
     pub use rnnhm_core::edit::{
-        ArrangementRef, CircleChange, DirtyRegion, DynamicArrangement, EditError, EditOutcome,
-        Shape,
+        ArrangementRef, CircleChange, DirtyRegion, EditError, EditOutcome, Shape,
     };
     pub use rnnhm_core::measure::{
         CapacityMeasure, ConnectivityMeasure, CountMeasure, ExactFallback, IncrementalMeasure,
@@ -98,8 +97,7 @@ pub mod prelude {
     pub use rnnhm_geom::{Metric, Point, Rect};
     pub use rnnhm_heatmap::{
         rasterize_count_squares_fast, rasterize_disks, rasterize_disks_oracle, rasterize_squares,
-        rasterize_squares_oracle, refresh_disks_dirty, refresh_squares_dirty, CacheStats,
-        ColorRamp, GridSpec, HeatRaster, Preview, ShardOccupancy, TileCache, TileId, TileScheme,
-        Viewport,
+        rasterize_squares_oracle, CacheStats, ColorRamp, GridSpec, HeatRaster, Preview,
+        ShardOccupancy, TileCache, TileId, TileScheme, Viewport,
     };
 }

@@ -5,8 +5,6 @@
 //! path that renders or queries it:
 //!
 //! * a one-shot `raster()` of a fixed spec,
-//! * a full-frame raster held across the edits and repaired in place
-//!   with `refresh_raster` (the scanline dirty-rect path),
 //! * a `viewport()` served through the (partially invalidated,
 //!   partially re-keyed) tile cache,
 //! * the labeled regions and the top-k: an edit resets the session's
@@ -24,7 +22,7 @@
 
 use proptest::prelude::*;
 use rnn_heatmap::prelude::*;
-use rnn_heatmap::{HeatMapBuilder, RnnHeatMap};
+use rnn_heatmap::{HeatMapBuilder, Session};
 
 /// One edit: `(op, x, y, pick)` decoded by [`apply_script`].
 type Step = (u8, u32, u32, u32);
@@ -47,34 +45,29 @@ fn decode_point(x: u32, y: u32) -> Point {
     Point::new(x as f64 / 4.0 - 0.5, y as f64 / 4.0 - 0.5)
 }
 
-/// Applies the script through the facade, repairing `held` with each
-/// edit's dirty region. Skipped steps (removing the last facility)
-/// must error, not panic.
-fn apply_script<M: IncrementalMeasure + Sync>(
-    map: &mut RnnHeatMap<M>,
-    script: &[Step],
-    held: &mut HeatRaster,
-) {
+/// Applies the script through the facade. Skipped steps (removing the
+/// last facility) must error, not panic.
+fn apply_script<M: IncrementalMeasure + Sync>(map: &mut Session<M>, script: &[Step]) {
     for &(op, x, y, pick) in script {
         let p = decode_point(x, y);
-        let dirty = match op % 3 {
-            0 => map.add_facility(p).expect("bichromatic map accepts adds").1,
+        match op % 3 {
+            0 => {
+                map.add_facility(p).expect("bichromatic map accepts adds");
+            }
             1 => {
                 let facs = map.facilities();
                 let id = facs[pick as usize % facs.len()].0;
                 match map.remove_facility(id) {
-                    Ok(d) => d,
-                    Err(EditError::TooFewFacilities) => continue,
+                    Ok(_) | Err(EditError::TooFewFacilities) => {}
                     Err(e) => panic!("unexpected edit error {e}"),
                 }
             }
             _ => {
                 let facs = map.facilities();
                 let id = facs[pick as usize % facs.len()].0;
-                map.move_facility(id, p).expect("live facility moves")
+                map.move_facility(id, p).expect("live facility moves");
             }
-        };
-        map.refresh_raster(held, &dirty);
+        }
     }
 }
 
@@ -97,14 +90,13 @@ fn run_case<M: IncrementalMeasure + Sync + Clone>(
         Err(_) => return, // degenerate instance (e.g. no clients)
     };
     let spec = GridSpec::new(48, 40, Rect::new(-1.0, 11.0, -1.0, 11.0));
-    let mut held = map.raster(spec);
     // Compute region answers before editing: the edits must reset them.
     let _ = map.stats();
     let _ = map.top_k(10);
     let vrect = Rect::new(0.7, 8.3, 0.9, 7.7);
     let _ = map.viewport(vrect, 40, 40); // warm the tile cache pre-edit
 
-    apply_script(&mut map, script, &mut held);
+    apply_script(&mut map, script);
 
     let rebuilt = HeatMapBuilder::bichromatic(
         clients.to_vec(),
@@ -116,7 +108,6 @@ fn run_case<M: IncrementalMeasure + Sync + Clone>(
 
     let fresh = rebuilt.raster(spec);
     assert_bits(&map.raster(spec), &fresh, &format!("{what}: one-shot raster"));
-    assert_bits(&held, &fresh, &format!("{what}: refreshed held raster"));
 
     let frame = map.viewport(vrect, 40, 40);
     let one_shot = rebuilt.raster(frame.spec);
@@ -309,7 +300,8 @@ fn maintained_labels_cover_every_rebuilt_signature() {
 
 /// A facility placed exactly on every client of a cluster erases all
 /// their circles; removing it restores the exact pre-edit heat map —
-/// the strongest "undo" check.
+/// the strongest "undo" check, on both the one-shot raster and the
+/// viewport served through the edited tile cache.
 #[test]
 fn add_then_remove_is_bitwise_undo() {
     let clients = vec![
@@ -326,14 +318,16 @@ fn add_then_remove_is_bitwise_undo() {
             .build(CountMeasure)
             .unwrap();
         let spec = GridSpec::new(40, 40, Rect::new(0.0, 10.0, 0.0, 10.0));
+        let vrect = Rect::new(0.0, 10.0, 0.0, 10.0);
         let before = map.raster(spec);
-        let mut held = before.clone();
-        let (id, d1) = map.add_facility(Point::new(1.0, 1.0)).unwrap();
-        map.refresh_raster(&mut held, &d1);
-        let d2 = map.remove_facility(id).unwrap();
-        map.refresh_raster(&mut held, &d2);
+        let first = map.viewport(vrect, 40, 40);
+        let (id, _) = map.add_facility(Point::new(1.0, 1.0)).unwrap();
+        // Serve the edited map, so its dirty tiles re-render before the
+        // removal dirties them again.
+        let _ = map.viewport(vrect, 40, 40);
+        map.remove_facility(id).unwrap();
         assert_bits(&map.raster(spec), &before, "undo one-shot");
-        assert_bits(&held, &before, "undo refreshed");
+        assert_bits(&map.viewport(vrect, 40, 40), &first, "undo viewport");
         assert_eq!(map.n_facilities(), 1);
     }
 }

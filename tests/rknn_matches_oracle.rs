@@ -30,7 +30,7 @@ use proptest::prelude::*;
 use rnn_heatmap::geom::transform::{l1_radius_to_linf, rotate45};
 use rnn_heatmap::index::KdTree;
 use rnn_heatmap::prelude::*;
-use rnn_heatmap::{HeatMapBuilder, RnnHeatMap};
+use rnn_heatmap::{HeatMapBuilder, Session};
 use rnnhm_core::crest::crest_sweep;
 use rnnhm_core::crest_l2::crest_l2_sweep;
 use rnnhm_geom::Circle;
@@ -140,7 +140,7 @@ fn top_influences(regions: &[LabeledRegion], n: usize) -> Vec<u64> {
 /// Compares every output path of `map` against the brute-force oracle
 /// arrangement over `facs` (the map's *current* facility set).
 fn assert_matches_oracle<M: IncrementalMeasure + Sync>(
-    map: &RnnHeatMap<M>,
+    map: &Session<M>,
     clients: &[Point],
     facs: &[Point],
     metric: Metric,
@@ -191,7 +191,7 @@ fn assert_matches_oracle<M: IncrementalMeasure + Sync>(
 
 /// Applies a random edit script through the facade (removals that would
 /// drop below `k` facilities error and are skipped).
-fn apply_script<M: IncrementalMeasure + Sync>(map: &mut RnnHeatMap<M>, script: &[Step]) {
+fn apply_script<M: IncrementalMeasure + Sync>(map: &mut Session<M>, script: &[Step]) {
     for &(op, x, y, pick) in script {
         let p = decode_point(x, y);
         match op % 3 {

@@ -37,14 +37,14 @@ fn edits_evict_exactly_dirty_tiles_and_keep_far_viewports_warm() {
     let east = Rect::new(49.0, 56.0, 49.0, 56.0);
     let west_frame = map.viewport(west, 64, 64);
     let _ = map.viewport(east, 64, 64);
-    let warm = map.tile_cache_stats();
+    let warm = map.cache_stats();
     assert_eq!(warm.invalidations, 0);
     assert!(warm.entries > 0);
 
     // Edit inside the west city.
     let (_, dirty) = map.add_facility(Point::new(1.0, 1.0)).unwrap();
     assert!(!dirty.is_empty());
-    let after_edit = map.tile_cache_stats();
+    let after_edit = map.cache_stats();
 
     // Exactly the cached tiles intersecting the dirty region are gone.
     let scheme = map.tile_scheme().clone();
@@ -76,15 +76,15 @@ fn edits_evict_exactly_dirty_tiles_and_keep_far_viewports_warm() {
     // see them too.
     let east_preview = map.viewport_preview(east, 64, 64);
     assert_eq!(east_preview.resolved, 1.0, "far preview fully resolved after the edit");
-    let before = map.tile_cache_stats().misses;
+    let before = map.cache_stats().misses;
     let _ = map.viewport(east, 64, 64);
-    assert_eq!(map.tile_cache_stats().misses, before, "far viewport re-renders nothing");
+    assert_eq!(map.cache_stats().misses, before, "far viewport re-renders nothing");
 
     // The west viewport re-renders exactly its dirty tiles and comes
     // back bit-identical to an uncached render of the same spec.
-    let before = map.tile_cache_stats().misses;
+    let before = map.cache_stats().misses;
     let frame = map.viewport(west, 64, 64);
-    let rerendered = (map.tile_cache_stats().misses - before) as usize;
+    let rerendered = (map.cache_stats().misses - before) as usize;
     assert_eq!(rerendered, dirty_west, "re-renders = invalidated tiles, nothing more");
     let one_shot = map.raster(frame.spec);
     for (a, b) in frame.values().iter().zip(one_shot.values()) {
@@ -103,18 +103,18 @@ fn noop_edit_invalidates_nothing() {
         .unwrap();
     let west = Rect::new(-1.0, 6.0, -1.0, 6.0);
     let _ = map.viewport(west, 64, 64);
-    let warm = map.tile_cache_stats();
+    let warm = map.cache_stats();
     let gen = map.generation();
     // A facility in empty wilderness steals no client.
     let (_, dirty) = map.add_facility(Point::new(-400.0, -400.0)).unwrap();
     assert!(dirty.is_empty());
     assert_eq!(map.generation(), gen, "no geometry change, no generation bump");
-    let stats = map.tile_cache_stats();
+    let stats = map.cache_stats();
     assert_eq!(stats.invalidations, 0);
     assert_eq!(stats.entries, warm.entries);
     let before = stats.misses;
     let _ = map.viewport(west, 64, 64);
-    assert_eq!(map.tile_cache_stats().misses, before, "everything still warm");
+    assert_eq!(map.cache_stats().misses, before, "everything still warm");
 }
 
 #[test]
@@ -148,6 +148,6 @@ fn successive_edits_keep_cache_consistent() {
             assert_eq!(a.to_bits(), b.to_bits(), "removal of {id}");
         }
     }
-    assert!(map.tile_cache_stats().invalidations > 0);
-    assert!(map.tile_cache_stats().hits > 0, "pans across edits still reuse clean tiles");
+    assert!(map.cache_stats().invalidations > 0);
+    assert!(map.cache_stats().hits > 0, "pans across edits still reuse clean tiles");
 }
