@@ -3,7 +3,7 @@
 //!
 //! |O| is fixed at 2^10 as in the paper. Criterion samples moderate
 //! ratios; the full paper grid (through 2^10) runs via the `figures`
-//! binary (see EXPERIMENTS.md).
+//! binary (see README's "Benches and figures").
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rnnhm_bench::runner::{count, square_arrangement};

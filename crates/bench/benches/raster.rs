@@ -2,9 +2,10 @@
 //! oracle vs count-only superimposition, across grid sizes and client
 //! counts.
 //!
-//! Criterion samples moderate sizes; the acceptance-scale run
-//! (1024×1024, n = 100k) is produced by the `raster_bench` binary,
-//! which writes `BENCH_raster.json`.
+//! Criterion samples moderate sizes. End to end, the scanline path is
+//! measured by `perfbench`'s `pan_zoom` workload (every tile miss renders
+//! through it); `tests/scanline_matches_oracle.rs` checks its output
+//! against the oracle bit for bit.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rnnhm_bench::runner::{capacity_measure, count, square_arrangement};

@@ -14,8 +14,10 @@
 //! * `showcase` — the Fig 1/15 heat maps (PPM files under `results/`),
 //! * `all`      — everything above.
 //!
-//! `--quick` shrinks the sweeps for CI-scale runs (documented in
-//! EXPERIMENTS.md); full runs follow the paper's parameter grids.
+//! `--quick` shrinks the sweeps for CI-scale runs (see README's
+//! "Benches and figures"); full runs follow the paper's parameter grids.
+//! Any other flag, or a second figure name, exits 2 with the usage line
+//! instead of starting a run.
 
 use std::fs;
 use std::io::Write as _;
@@ -39,35 +41,41 @@ const BA_MAX_CELLS: u64 = 40_000_000;
 /// Node budget per anchor circle for the pruning comparator.
 const PRUNING_BUDGET: u64 = 2_000_000_000;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let what =
-        args.iter().find(|a| !a.starts_with("--")).cloned().unwrap_or_else(|| "all".to_string());
-    fs::create_dir_all("results").expect("create results dir");
+fn usage(problem: &str) -> ! {
+    eprintln!("{problem}\nusage: figures [--quick] [table2|fig16|fig17|fig18|fig19|showcase|all]");
+    std::process::exit(2);
+}
 
-    match what.as_str() {
-        "table2" => table2(),
-        "fig16" => fig16(quick),
-        "fig17" => fig17(quick),
-        "fig18" => fig18(quick),
-        "fig19" => fig19(quick),
-        "showcase" => showcase(quick),
-        "all" => {
+fn main() {
+    let mut quick = false;
+    let mut what: Option<String> = None;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            flag if flag.starts_with('-') => usage(&format!("unknown flag `{flag}`")),
+            _ if what.is_some() => usage(&format!("unexpected second figure `{arg}`")),
+            _ => what = Some(arg),
+        }
+    }
+    let run: fn(bool) = match what.as_deref().unwrap_or("all") {
+        "table2" => |_| table2(),
+        "fig16" => fig16,
+        "fig17" => fig17,
+        "fig18" => fig18,
+        "fig19" => fig19,
+        "showcase" => showcase,
+        "all" => |quick| {
             table2();
             fig16(quick);
             fig17(quick);
             fig18(quick);
             fig19(quick);
             showcase(quick);
-        }
-        other => {
-            eprintln!(
-                "unknown figure `{other}`; expected table2|fig16|fig17|fig18|fig19|showcase|all"
-            );
-            std::process::exit(2);
-        }
-    }
+        },
+        other => usage(&format!("unknown figure `{other}`")),
+    };
+    fs::create_dir_all("results").expect("create results dir");
+    run(quick);
 }
 
 fn write_block(name: &str, header: &str, rows: &[String]) {

@@ -8,14 +8,13 @@
 use std::time::Instant;
 
 use rnnhm_core::arrangement::{
-    build_disk_arrangement, build_square_arrangement, build_square_arrangement_k, DiskArrangement,
-    Mode, SquareArrangement,
+    build_disk_arrangement, build_square_arrangement, DiskArrangement, Mode, SquareArrangement,
 };
 use rnnhm_core::baseline::{baseline_cell_count, baseline_sweep};
 use rnnhm_core::crest::{crest_a_sweep, crest_sweep};
 use rnnhm_core::measure::{CapacityMeasure, CountMeasure, InfluenceMeasure};
 use rnnhm_core::pruning::{crest_l2_max_region, pruning_max_region, PruningConfig};
-use rnnhm_core::sink::{MaterializeSink, MaxSink};
+use rnnhm_core::sink::MaterializeSink;
 use rnnhm_core::stats::SweepStats;
 use rnnhm_geom::Metric;
 use rnnhm_index::KdTree;
@@ -40,29 +39,16 @@ impl Timing {
     }
 }
 
-/// Milliseconds elapsed since `start` (shared by every bench runner).
-pub fn ms(start: Instant) -> f64 {
+/// Milliseconds elapsed since `start` (shared by every runner and the
+/// test-only agreement checks).
+pub(crate) fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Whether two rasters agree bit for bit — the acceptance notion of
-/// "same heat map" every bench asserts.
-pub fn bit_identical(a: &rnnhm_heatmap::HeatRaster, b: &rnnhm_heatmap::HeatRaster) -> bool {
-    a.values().len() == b.values().len()
-        && a.values().iter().zip(b.values()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Builds the square arrangement for a workload (untimed setup).
 pub fn square_arrangement(w: &Workload, metric: Metric) -> SquareArrangement {
     build_square_arrangement(&w.clients, &w.facilities, metric, Mode::Bichromatic)
         .expect("non-empty workload")
-}
-
-/// Builds the square k-NN-circle arrangement for a workload (untimed
-/// setup) — the RkNN generalization of [`square_arrangement`].
-pub fn square_arrangement_k(w: &Workload, metric: Metric, k: usize) -> SquareArrangement {
-    build_square_arrangement_k(&w.clients, &w.facilities, metric, Mode::Bichromatic, k)
-        .expect("workload offers at least k facilities")
 }
 
 /// Builds the disk arrangement for a workload (untimed setup).
@@ -125,14 +111,6 @@ pub fn run_crest_l2_max<M: InfluenceMeasure>(arr: &DiskArrangement, measure: &M)
     let start = rnnhm_core::clock::now();
     let (best, stats) = crest_l2_max_region(arr, measure);
     let _ = best;
-    Timing { algo: "CREST-L2", millis: Some(ms(start)), stats }
-}
-
-/// Times CREST-L2 building the full heat map (not just the max region).
-pub fn run_crest_l2_full<M: InfluenceMeasure>(arr: &DiskArrangement, measure: &M) -> Timing {
-    let start = rnnhm_core::clock::now();
-    let mut sink = MaxSink::default();
-    let stats = rnnhm_core::crest_l2::crest_l2_sweep(arr, measure, &mut sink);
     Timing { algo: "CREST-L2", millis: Some(ms(start)), stats }
 }
 

@@ -65,7 +65,8 @@ impl Dataset {
 /// from `points`, disjointly and without replacement.
 ///
 /// # Panics
-/// Panics if `points.len() < n_clients + n_facilities`.
+/// Panics if `points.len() < n_clients + n_facilities`, or if that sum
+/// overflows `usize`.
 pub fn sample_clients_facilities(
     points: &[Point],
     n_clients: usize,
@@ -73,7 +74,7 @@ pub fn sample_clients_facilities(
     seed: u64,
 ) -> (Vec<Point>, Vec<Point>) {
     assert!(
-        points.len() >= n_clients + n_facilities,
+        n_clients.checked_add(n_facilities).is_some_and(|need| points.len() >= need),
         "data set of {} points cannot supply {} clients + {} facilities",
         points.len(),
         n_clients,
@@ -118,6 +119,15 @@ mod tests {
     fn oversampling_panics() {
         let ds = Dataset::uniform(10, 1);
         sample_clients_facilities(&ds.points, 8, 8, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot supply")]
+    fn overflowing_request_panics_with_the_documented_message() {
+        // usize::MAX + 4 wraps to 3 in release builds; the bound must
+        // still reject it rather than let a slice index panic.
+        let ds = Dataset::uniform(10, 1);
+        sample_clients_facilities(&ds.points, usize::MAX, 4, 1);
     }
 
     #[test]

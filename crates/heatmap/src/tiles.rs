@@ -1332,8 +1332,8 @@ impl TileCache {
     }
 
     /// [`TileCache::fetch`] with the *two-stage restriction* pattern
-    /// viewport serving uses (both the facade and `tile_bench` go
-    /// through this): `make_base` builds a render base restricted to
+    /// viewport serving uses (the facade goes through this):
+    /// `make_base` builds a render base restricted to
     /// the union extent of the tiles currently missing the cache — on
     /// a pan, a thin strip of the viewport — and `render` draws one
     /// tile from that base, restricting it further to the tile's own

@@ -63,25 +63,34 @@ fn main() {
         }
     }
 
+    let n_facilities = (n / 40).max(4);
+    let Some(n_clients) = n.checked_sub(n_facilities) else { usage() };
     eprintln!("building a zipfian city of {n} points (seed {seed}, {metric:?}, k={k})...");
     let data = Dataset::zipfian(n, seed);
-    let n_facilities = (n / 40).max(4);
     let (clients, facilities) =
-        sample_clients_facilities(&data.points, n - n_facilities, n_facilities, seed);
-    let engine = Arc::new(
-        HeatMapBuilder::bichromatic(clients, facilities)
-            .metric(metric)
-            .k(k)
-            .build_engine(CountMeasure)
-            .expect("non-empty input"),
-    );
+        sample_clients_facilities(&data.points, n_clients, n_facilities, seed);
+    let engine = match HeatMapBuilder::bichromatic(clients, facilities)
+        .metric(metric)
+        .k(k)
+        .build_engine(CountMeasure)
+    {
+        Ok(engine) => Arc::new(engine),
+        Err(e) => {
+            eprintln!("cannot build the heat map: {e}");
+            std::process::exit(2);
+        }
+    };
     eprintln!(
         "engine up: {} NN-circles, {} facilities",
         engine.session().n_circles(),
         engine.session().n_facilities()
     );
 
-    let server = serve(engine, config).expect("bind listener");
+    let addr = config.addr.clone();
+    let server = serve(engine, config).unwrap_or_else(|e| {
+        eprintln!("cannot listen on {addr}: {e}");
+        std::process::exit(2);
+    });
     eprintln!("serving on http://{} (session 0 is the root; GET / lists endpoints)", server.addr());
     eprintln!("press Ctrl-C to stop");
     // Serve until killed; all work happens on the server's threads.

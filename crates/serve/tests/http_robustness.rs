@@ -2,16 +2,21 @@
 //! with bounded cost, conditional requests round-trip on the snapshot
 //! fingerprint ETag, deadline-degraded viewports serve exactly what
 //! `Session::viewport_preview` would, overload sheds `503` instead of
-//! queueing unboundedly, slow-loris clients get `408`, and idle
-//! sessions are garbage-collected together with the snapshot registry.
+//! queueing unboundedly (in under a millisecond), slow-loris clients
+//! get `408`, idle sessions are garbage-collected together with the
+//! snapshot registry, and the `serve` binary rejects arguments it
+//! cannot serve with exit code 2.
 
 mod util;
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::process::{Command, Stdio};
+use std::sync::Arc;
 use std::time::Duration;
 
 use rnn_heatmap::prelude::*;
+use rnn_heatmap::HeatMapBuilder;
 use rnnhm_serve::{serve, ServerConfig};
 use util::{
     raster_bytes, raw_roundtrip, request, request_with, test_engine, test_engine_lod, KeepAlive,
@@ -574,4 +579,106 @@ fn approximate_tiles_and_viewports_are_labeled_and_carry_no_validator() {
         _ => panic!("a world-at-32px viewport must resolve approximate"),
     }
     server.shutdown();
+}
+
+#[test]
+fn lone_sheds_and_warm_keep_alive_tiles_answer_within_a_millisecond() {
+    // One worker and a depth-2 queue over a dense instance (10,000
+    // uniform clients, 625 facilities, 64 px tiles). The read timeout
+    // outlasts the test, so an open keep-alive connection pins the
+    // worker for as long as the test holds it.
+    let data = Dataset::uniform(21_250, 42);
+    let (clients, facilities) = sample_clients_facilities(&data.points, 10_000, 625, 42 ^ 0x5eed);
+    let engine = HeatMapBuilder::bichromatic(clients, facilities)
+        .metric(Metric::Linf)
+        .tile_px(64)
+        .build_engine(CountMeasure)
+        .expect("non-empty input");
+    let config = ServerConfig {
+        workers: 1,
+        queue_depth: 2,
+        read_timeout: Duration::from_secs(120),
+        ..quick_config()
+    };
+    let server = serve(Arc::new(engine), config).expect("bind");
+    let addr = server.addr();
+    let p50 = |mut ms: Vec<f64>| {
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+
+    // A warm tile over keep-alive costs a lookup and a write.
+    const TILE: &str = "/session/0/tile/0/0/0";
+    let mut pinned = KeepAlive::connect(addr).unwrap();
+    assert_eq!(pinned.send("GET", TILE).unwrap().status, 200);
+    let warm: Vec<f64> = (0..200)
+        .map(|_| {
+            let started = rnnhm_core::clock::now();
+            assert_eq!(pinned.send("GET", TILE).unwrap().status, 200);
+            started.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    let warm_p50 = p50(warm);
+    assert!(warm_p50 <= 0.95, "warm keep-alive tile p50 {warm_p50:.3} ms exceeds 0.95 ms");
+
+    // The worker now waits on `pinned` for its next request. Two idle
+    // connections queue behind it; once the queue's high-water mark
+    // reads 2, the queue is full and stays full until they close.
+    let queued: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    while server.stats().queue_high_water < 2 {
+        std::thread::yield_now();
+    }
+    // So every lone probe is shed at admission, one at a time.
+    const PROBES: usize = 100;
+    let shed: Vec<f64> = (0..PROBES)
+        .map(|_| {
+            let started = rnnhm_core::clock::now();
+            let reply = request(addr, "GET", "/healthz").unwrap();
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(reply.status, 503, "a full queue behind a busy worker must shed");
+            ms
+        })
+        .collect();
+    assert_eq!(server.stats().shed, PROBES as u64);
+    let shed_p50 = p50(shed);
+    assert!(shed_p50 < 1.0, "shed 503 p50 {shed_p50:.3} ms is not under 1 ms");
+
+    drop(pinned);
+    drop(queued);
+    server.shutdown();
+}
+
+#[test]
+fn serve_binary_rejects_bad_arguments_with_exit_2() {
+    // Fewer points than the facility sample, a k above the facility
+    // count, and an address that cannot be bound: each ends with the
+    // usage line or the error and exit code 2, never a panic and never
+    // a listener.
+    for args in [
+        &["--n", "3", "--addr", "127.0.0.1:0"][..],
+        &["--n", "100", "--k", "9", "--addr", "127.0.0.1:0"],
+        &["--n", "100", "--addr", "not-an-address"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+            .args(args)
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn serve");
+        let started = rnnhm_core::clock::now();
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("wait for serve") {
+                break status;
+            }
+            if started.elapsed() > Duration::from_secs(60) {
+                child.kill().ok();
+                panic!("serve {args:?} is still running; it must reject its input");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        child.stderr.take().expect("piped stderr").read_to_string(&mut stderr).unwrap();
+        assert_eq!(status.code(), Some(2), "serve {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "serve {args:?} panicked: {stderr}");
+    }
 }

@@ -10,7 +10,7 @@
 //! exact snapshot it rendered from (an `Arc` clone), so the check is
 //! exact, not probabilistic.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::{ExplorationEngine, HeatMapBuilder, Session};
@@ -233,4 +233,53 @@ fn forked_branches_stay_isolated_under_concurrent_edits() {
     for (a, b) in root_frame.values().iter().zip(root_one_shot.values()) {
         assert_eq!(a.to_bits(), b.to_bits());
     }
+}
+
+#[test]
+fn cold_herd_renders_each_tile_once() {
+    // Four forks of one session, released together by a barrier,
+    // request the same cold viewport over a dense instance (10,000
+    // clients, 625 facilities). Single-flight lets exactly one caller
+    // render each tile: every tile is inserted once, and every other
+    // miss is answered with that render.
+    const FORKS: usize = 4;
+    let data = Dataset::uniform(21_250, 42);
+    let (clients, facilities) = sample_clients_facilities(&data.points, 10_000, 625, 42 ^ 0x5eed);
+    let engine = HeatMapBuilder::bichromatic(clients, facilities)
+        .metric(Metric::Linf)
+        .tile_px(64)
+        .build_engine(CountMeasure)
+        .expect("non-empty input");
+    let rect = Rect::new(0.2, 0.7, 0.2, 0.7);
+    let root = engine.session();
+    let barrier = Barrier::new(FORKS);
+    let frames: Vec<HeatRaster> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..FORKS)
+            .map(|_| {
+                let fork = root.fork();
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    fork.viewport(rect, 384, 384)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("herd thread")).collect()
+    });
+
+    let one_shot = root.raster(frames[0].spec);
+    for frame in &frames {
+        assert_eq!(frame.spec, one_shot.spec);
+        for (a, b) in frame.values().iter().zip(one_shot.values()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "a herd frame diverged from the one-shot render");
+        }
+    }
+    let stats = engine.cache_stats();
+    let tiles = root.tile_scheme().viewport(rect, 384, 384).tiles().len() as u64;
+    assert_eq!(stats.insertions, tiles, "every tile renders exactly once: {stats:?}");
+    assert_eq!(
+        stats.misses,
+        stats.insertions + stats.single_flight_dedups,
+        "every miss either rendered or reused a concurrent render: {stats:?}"
+    );
 }

@@ -23,6 +23,7 @@
 use proptest::prelude::*;
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::{HeatMapBuilder, Session};
+use rnnhm_heatmap::scanline::rasterize_squares_scanline;
 
 /// One edit: `(op, x, y, pick)` decoded by [`apply_script`].
 type Step = (u8, u32, u32, u32);
@@ -329,5 +330,64 @@ fn add_then_remove_is_bitwise_undo() {
         assert_bits(&map.raster(spec), &before, "undo one-shot");
         assert_bits(&map.viewport(vrect, 40, 40), &first, "undo viewport");
         assert_eq!(map.n_facilities(), 1);
+    }
+}
+
+/// A what-if script at realistic density: 10,000 uniform clients, 625
+/// facilities, a 256² viewport of 64 px tiles, and 16 interleaved
+/// add/move/remove edits inside it, at k ∈ {1, 4, 16}. After every
+/// edit the viewport served through the edited cache equals a
+/// from-scratch k-NN rebuild rendered one-shot, and the script
+/// re-renders only dirtied tiles: fewer misses than re-rendering every
+/// tile of the view at every step.
+#[test]
+fn dense_edit_script_matches_rebuild_every_step() {
+    const STEPS: usize = 16;
+    let data = Dataset::uniform(21_250, 42);
+    let (clients, facilities) = sample_clients_facilities(&data.points, 10_000, 625, 42 ^ 0x5eed);
+    let view = Rect::new(0.15, 0.85, 0.15, 0.85);
+    for k in [1, 4, 16] {
+        let mut map = HeatMapBuilder::bichromatic(clients.clone(), facilities.clone())
+            .metric(Metric::Linf)
+            .k(k)
+            .tile_px(64)
+            .build(CountMeasure)
+            .expect("non-empty instance");
+        let tiles_per_view = map.tile_scheme().viewport(view, 256, 256).tiles().len();
+        drop(map.viewport(view, 256, 256)); // the cold frame
+        let misses_after_cold = map.cache_stats().misses;
+
+        let sites = rnn_heatmap::data::uniform(STEPS, Rect::new(0.2, 0.8, 0.2, 0.8), 42);
+        let mut added: Vec<u32> = Vec::new();
+        for (step, &p) in sites.iter().enumerate() {
+            match (step % 3, added.last().copied()) {
+                (1, Some(id)) => drop(map.move_facility(id, p).expect("added id is live")),
+                (2, Some(id)) => {
+                    added.pop();
+                    map.remove_facility(id).expect("added id is live");
+                }
+                _ => added.push(map.add_facility(p).expect("bichromatic map accepts adds").0),
+            }
+            let frame = map.viewport(view, 256, 256);
+            let facilities_now: Vec<Point> = map.facilities().into_iter().map(|(_, p)| p).collect();
+            let rebuilt = build_square_arrangement_k(
+                &clients,
+                &facilities_now,
+                Metric::Linf,
+                Mode::Bichromatic,
+                k,
+            )
+            .expect("the facility set never empties");
+            let one_shot = rasterize_squares_scanline(&rebuilt, &CountMeasure, frame.spec);
+            assert_bits(&frame, &one_shot, &format!("dense k={k}, step {step}"));
+        }
+        let stats = map.cache_stats();
+        assert!(stats.invalidations > 0, "k={k}: edits inside the viewport must dirty tiles");
+        assert!(
+            stats.misses - misses_after_cold < (STEPS * tiles_per_view) as u64,
+            "k={k}: warm frames must reuse clean tiles ({} misses after the cold frame, \
+             {tiles_per_view} tiles per view)",
+            stats.misses - misses_after_cold
+        );
     }
 }

@@ -14,13 +14,18 @@ fn pseudo_points(n: usize, seed: u64, span: f64) -> Vec<Point> {
     rnn_heatmap::data::uniform(n, Rect::new(0.0, span, 0.0, span), seed)
 }
 
-fn build(lod: bool) -> ExplorationEngine<CountMeasure> {
+/// The instance every test explores; `shards` splits the arrangement
+/// into that many vertical slabs.
+fn build(lod: bool, shards: Option<usize>) -> ExplorationEngine<CountMeasure> {
     let clients = pseudo_points(350, 11, 10.0);
     let facilities = pseudo_points(45, 13, 10.0);
     let mut b =
         HeatMapBuilder::bichromatic(clients, facilities).metric(Metric::Linf).tile_px(TILE_PX);
     if lod {
         b = b.lod_exact_zoom(ZE);
+    }
+    if let Some(n) = shards {
+        b = b.shards(n);
     }
     b.build_engine(CountMeasure).expect("valid instance")
 }
@@ -86,8 +91,8 @@ fn assert_containment(
 
 #[test]
 fn exact_zoom_tiles_are_bit_identical_to_a_no_lod_engine() {
-    let plain = build(false);
-    let lod = build(true);
+    let plain = build(false, None);
+    let lod = build(true, None);
     let a = plain.session();
     let b = lod.session();
     assert_eq!(b.lod_exact_zoom(), Some(ZE));
@@ -108,7 +113,7 @@ fn exact_zoom_tiles_are_bit_identical_to_a_no_lod_engine() {
 
 #[test]
 fn coarse_tiles_stay_inside_the_base_envelope() {
-    let lod = build(true);
+    let lod = build(true, None);
     let s = lod.session();
     let (mosaic, px) = base_mosaic(&s);
     for zoom in 0..ZE {
@@ -125,27 +130,31 @@ fn coarse_tiles_stay_inside_the_base_envelope() {
 
 #[test]
 fn coarse_viewports_are_labeled_approximate_and_bounded() {
-    let lod = build(true);
-    let s = lod.session();
-    let world = s.tile_scheme().world();
-    // A world-sized request at one tile's worth of pixels resolves to
-    // zoom 0 — below the threshold.
-    match s.viewport_frame(world, TILE_PX, TILE_PX) {
-        ViewportFrame::Approx { raster, error_bound } => {
-            assert_eq!(raster.spec.width, TILE_PX);
-            assert!(error_bound.is_finite() && error_bound >= 0.0);
+    // Also on a 4-shard engine: the pyramid and the exact fallback must
+    // not depend on how the arrangement is sliced into slabs.
+    for shards in [None, Some(4)] {
+        let lod = build(true, shards);
+        let s = lod.session();
+        let world = s.tile_scheme().world();
+        // A world-sized request at one tile's worth of pixels resolves to
+        // zoom 0 — below the threshold.
+        match s.viewport_frame(world, TILE_PX, TILE_PX) {
+            ViewportFrame::Approx { raster, error_bound } => {
+                assert_eq!(raster.spec.width, TILE_PX);
+                assert!(error_bound.is_finite() && error_bound >= 0.0);
+            }
+            other => panic!("expected an approximate frame, got {}", frame_name(&other)),
         }
-        other => panic!("expected an approximate frame, got {}", frame_name(&other)),
-    }
-    // Zooming in past the threshold must fall back to the exact path
-    // and match the no-LoD engine bitwise.
-    let plain = build(false);
-    let q = Rect::new(2.0, 4.0, 5.0, 7.0);
-    match s.viewport_frame(q, 128, 128) {
-        ViewportFrame::Exact(raster) => {
-            assert_eq!(raster.values(), plain.session().viewport(q, 128, 128).values());
+        // Zooming in past the threshold must fall back to the exact path
+        // and match the no-LoD engine bitwise.
+        let plain = build(false, None);
+        let q = Rect::new(2.0, 4.0, 5.0, 7.0);
+        match s.viewport_frame(q, 128, 128) {
+            ViewportFrame::Exact(raster) => {
+                assert_eq!(raster.values(), plain.session().viewport(q, 128, 128).values());
+            }
+            other => panic!("expected an exact frame, got {}", frame_name(&other)),
         }
-        other => panic!("expected an exact frame, got {}", frame_name(&other)),
     }
 }
 
@@ -159,37 +168,41 @@ fn frame_name(f: &ViewportFrame) -> &'static str {
 
 #[test]
 fn the_contract_survives_edits() {
-    let plain = build(false);
-    let lod = build(true);
-    let mut a = plain.session();
-    let mut b = lod.session();
+    // Also on a 4-shard engine, whose edits re-seal only the slabs
+    // they touch.
+    for shards in [None, Some(4)] {
+        let plain = build(false, None);
+        let lod = build(true, shards);
+        let mut a = plain.session();
+        let mut b = lod.session();
 
-    // Warm the pyramid first so the edit exercises the patch path, not
-    // a cold build.
-    let _ = b.tile_lod(TileId { zoom: 0, tx: 0, ty: 0 });
+        // Warm the pyramid first so the edit exercises the patch path, not
+        // a cold build.
+        let _ = b.tile_lod(TileId { zoom: 0, tx: 0, ty: 0 });
 
-    let (fa, _) = a.add_facility(Point::new(3.3, 6.6)).expect("add");
-    let (fb, _) = b.add_facility(Point::new(3.3, 6.6)).expect("add");
-    a.move_facility(fa, Point::new(7.7, 2.2)).expect("move");
-    b.move_facility(fb, Point::new(7.7, 2.2)).expect("move");
+        let (fa, _) = a.add_facility(Point::new(3.3, 6.6)).expect("add");
+        let (fb, _) = b.add_facility(Point::new(3.3, 6.6)).expect("add");
+        a.move_facility(fa, Point::new(7.7, 2.2)).expect("move");
+        b.move_facility(fb, Point::new(7.7, 2.2)).expect("move");
 
-    // Exact tiles agree bitwise after the same edit script.
-    for (tx, ty) in [(0, 0), (1, 2), (3, 3)] {
-        let id = TileId { zoom: ZE, tx, ty };
-        let frame = b.tile_lod(id);
-        assert!(!frame.approx);
-        assert_eq!(a.tile(id).values(), frame.raster.values(), "{id:?} after edits");
-    }
+        // Exact tiles agree bitwise after the same edit script.
+        for (tx, ty) in [(0, 0), (1, 2), (3, 3)] {
+            let id = TileId { zoom: ZE, tx, ty };
+            let frame = b.tile_lod(id);
+            assert!(!frame.approx);
+            assert_eq!(a.tile(id).values(), frame.raster.values(), "{id:?} after edits");
+        }
 
-    // Coarse tiles re-satisfy containment against the *post-edit* base.
-    let (mosaic, px) = base_mosaic(&b);
-    for zoom in 0..ZE {
-        let side = 1u32 << zoom;
-        for ty in 0..side {
-            for tx in 0..side {
-                let id = TileId { zoom, tx, ty };
-                let frame = b.tile_lod(id);
-                assert_containment(&frame, id, &mosaic, px);
+        // Coarse tiles re-satisfy containment against the *post-edit* base.
+        let (mosaic, px) = base_mosaic(&b);
+        for zoom in 0..ZE {
+            let side = 1u32 << zoom;
+            for ty in 0..side {
+                for tx in 0..side {
+                    let id = TileId { zoom, tx, ty };
+                    let frame = b.tile_lod(id);
+                    assert_containment(&frame, id, &mosaic, px);
+                }
             }
         }
     }
@@ -200,8 +213,8 @@ fn lazy_patch_equals_cold_rebuild_bitwise() {
     // Two LoD engines, same edit: one patches a warm pyramid, the
     // other builds cold after the edit. Their coarse tiles must be
     // bitwise identical — patching is not allowed to drift.
-    let warm = build(true);
-    let cold = build(true);
+    let warm = build(true, None);
+    let cold = build(true, None);
     let mut w = warm.session();
     let mut c = cold.session();
     let _ = w.tile_lod(TileId { zoom: 0, tx: 0, ty: 0 }); // warm pyramid

@@ -10,6 +10,8 @@
 //!   candidate set, so the equality is two-sided),
 //! * every reported placement's representative point realizes exactly
 //!   the reported RNN set and influence under the oracle,
+//! * a tentative insert at any grid candidate (`evaluate_insert`)
+//!   reports exactly the oracle's RNN set and influence,
 //! * the reported top-m dominates every grid candidate whose region is
 //!   not among the reported ones,
 //! * relocation: the post-removal argmax and the current-location
@@ -126,9 +128,18 @@ fn check_combo<M: InfluenceMeasure>(
         assert_eq!(measure.influence(&rnn), p.influence, "{metric:?} k={k}: reported influence");
     }
 
+    // Scoring a tentative insert at any grid candidate reports the
+    // candidate's RNN set and influence against the base arrangement.
+    let grid = candidate_grid(&[clients, facilities].concat());
+    for &q in &grid {
+        let eval = query.evaluate_insert(q).expect("grid candidates are finite");
+        let rnn = oracle_rnn(clients, &radii, metric, q);
+        assert_eq!(eval.rnn, rnn, "{metric:?} k={k}: evaluate_insert RNN set at {q:?}");
+        assert_eq!(eval.influence, measure.influence(&rnn), "{metric:?} k={k}: influence at {q:?}");
+    }
+
     // Two-sided argmax equality: the grid (plus the injected reported
     // points) must peak exactly at the reported best.
-    let grid = candidate_grid(&[clients, facilities].concat());
     let mut grid_max = f64::NEG_INFINITY;
     let reported: Vec<&[u32]> = top.iter().map(|p| p.rnn.as_slice()).collect();
     let floor = top.last().expect("non-empty").influence;

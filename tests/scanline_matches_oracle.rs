@@ -209,3 +209,24 @@ fn everything_off_grid() {
     assert_bit_identical(&scan, &oracle, "off grid");
     assert_eq!(scan.sum(), 0.0);
 }
+
+/// Realistic overlap: 10,000 uniform clients against 625 facilities
+/// (the property tests above stop near 60 shapes), at RkNN depth
+/// k ∈ {1, 4, 16}, where the k-NN squares stack dozens deep, rendered
+/// at 256² in 1, 2 and 8 row bands.
+#[test]
+fn dense_knn_arrangements_bit_identical() {
+    let data = Dataset::uniform(21_250, 42);
+    let (clients, facilities) = sample_clients_facilities(&data.points, 10_000, 625, 42 ^ 0x5eed);
+    let spec = GridSpec::new(256, 256, Rect::new(0.0, 1.0, 0.0, 1.0));
+    for k in [1, 4, 16] {
+        let arr =
+            build_square_arrangement_k(&clients, &facilities, Metric::Linf, Mode::Bichromatic, k)
+                .expect("625 facilities offer k neighbors");
+        let oracle = rasterize_squares_oracle(&arr, &CountMeasure, spec);
+        for bands in [1, 2, 8] {
+            let scan = rasterize_squares_scanline_bands(&arr, &CountMeasure, spec, bands);
+            assert_bit_identical(&scan, &oracle, &format!("dense k={k}, {bands} bands"));
+        }
+    }
+}

@@ -233,3 +233,49 @@ fn tile_aligned_viewport_reuses_whole_tiles() {
     let fetched = cache.fetch(keys.0, keys.1, &scheme, &[id], render);
     assert!(Arc::ptr_eq(&first, &fetched[0]));
 }
+
+/// An exploration at realistic density (10,000 uniform clients, 625
+/// facilities, a 256² viewport of 64 px tiles) through the facade: a
+/// cold frame, a quarter-width jump, then a 16-step drag across one
+/// viewport width. Every frame equals the one-shot raster of its spec,
+/// the drag reuses cached tiles, and every cached count tile takes the
+/// compact form.
+#[test]
+fn dense_pan_stays_exact_and_reuses_compact_tiles() {
+    const DRAG_STEPS: usize = 16;
+    const TILE_PX: usize = 64;
+    let data = Dataset::uniform(21_250, 42);
+    let (clients, facilities) = sample_clients_facilities(&data.points, 10_000, 625, 42 ^ 0x5eed);
+    let map = HeatMapBuilder::bichromatic(clients, facilities)
+        .metric(Metric::Linf)
+        .tile_px(TILE_PX)
+        .build(CountMeasure)
+        .expect("non-empty instance");
+    let frame = |rect: Rect| {
+        let stitched = map.viewport(rect, 256, 256);
+        assert_bit_identical(&stitched, &map.raster(stitched.spec), "dense pan");
+    };
+    let side = 0.4;
+    let shift = |r: Rect, dx: f64| Rect::new(r.x_lo + dx, r.x_hi + dx, r.y_lo, r.y_hi);
+    let mut rect = Rect::new(0.05, 0.05 + side, 0.1, 0.1 + side);
+    frame(rect);
+    rect = shift(rect, side / 4.0);
+    frame(rect);
+    let tiles_per_view = map.tile_scheme().viewport(rect, 256, 256).tiles().len();
+    let misses_before_drag = map.cache_stats().misses;
+    for _ in 0..DRAG_STEPS {
+        rect = shift(rect, side / DRAG_STEPS as f64);
+        frame(rect);
+    }
+
+    let stats = map.cache_stats();
+    assert!(
+        stats.misses - misses_before_drag < (DRAG_STEPS * tiles_per_view) as u64,
+        "drag frames must reuse cached tiles: {stats:?}"
+    );
+    assert_eq!(stats.bytes_exact, 0, "count tiles must all take the compact form");
+    assert!(stats.bytes_quantized > 0, "the cache must hold compact payloads");
+    let raw = (TILE_PX * TILE_PX * 8) as f64;
+    let mean = stats.bytes as f64 / stats.entries as f64;
+    assert!(mean < raw / 2.0, "compact tiles must at least halve raw f64 ({mean} vs {raw})");
+}
