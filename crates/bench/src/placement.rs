@@ -10,7 +10,6 @@ use rnnhm_core::arrangement::{build_square_arrangement_k, Mode};
 use rnnhm_core::crest::crest_sweep;
 use rnnhm_core::measure::CountMeasure;
 use rnnhm_core::placement::{PlacementConstraints, PlacementQuery};
-use rnnhm_core::query::influence_at_points_square;
 use rnnhm_core::sink::MaxSink;
 use rnnhm_core::snapshot::ArrangementSnapshot;
 use rnnhm_geom::{Metric, Point};
@@ -44,14 +43,12 @@ fn compare_placement_paths(
         build_square_arrangement_k(&w.clients, facilities, Metric::Linf, Mode::Bichromatic, k)
             .expect("non-empty instance")
     };
-    let snap = ArrangementSnapshot::build_k(
-        w.clients.clone(),
-        w.facilities.clone(),
-        Metric::Linf,
-        Mode::Bichromatic,
-        k,
-    )
-    .expect("non-empty workload");
+    let snapshot = |facilities: &[Point]| {
+        let (clients, facilities) = (w.clients.clone(), facilities.to_vec());
+        ArrangementSnapshot::build_k(clients, facilities, Metric::Linf, Mode::Bichromatic, k)
+            .expect("non-empty workload")
+    };
+    let snap = snapshot(&w.facilities);
     let measure = CountMeasure;
     let query = PlacementQuery::new(&snap, &measure);
 
@@ -66,10 +63,7 @@ fn compare_placement_paths(
 
     let mut identical = candidates.iter().all(|&p| {
         let incremental = query.evaluate_insert(p).expect("finite candidate").influence;
-        let rebuilt = influence_at_points_square(&build(&w.facilities), &measure, &[p])
-            .pop()
-            .expect("one result")
-            .1;
+        let rebuilt = PlacementQuery::new(&snapshot(&w.facilities), &measure).influence_of(p).1;
         incremental.to_bits() == rebuilt.to_bits()
     });
 

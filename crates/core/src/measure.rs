@@ -44,13 +44,12 @@ pub trait InfluenceMeasure {
     /// [`crate::oracle::signature`]: the value must be at least
     /// `influence(signature(raw))`.
     ///
-    /// The streaming argmax of `crate::placement` uses it to skip
+    /// [`crate::sink::TopKSink::with_bound`] uses it to skip
     /// canonicalizing (sorting + deduplicating) regions that cannot
-    /// beat the incumbent best, which is what makes a full-arrangement
-    /// argmax sweep cheap at scale; `Session::top_k` streams through
-    /// [`crate::sink::TopKSink::with_bound`] the same way. Both rely on
-    /// the bound from any one emission of a set covering the influence
-    /// of every emission of it. The default — no bound — is always
+    /// reach the current `k`-th best, which is what keeps placement and
+    /// `Session::top_k` near the cost of a bare sweep at scale. That
+    /// relies on the bound from any one emission of a set covering the
+    /// influence of every emission of it. The default — no bound — is always
     /// admissible and simply disables that skip. Only override with
     /// duplicate-insensitive, rounding-safe bounds (e.g. a count);
     /// order-dependent f64 accumulations (a weight sum) can round an

@@ -13,18 +13,19 @@
 //!
 //! ## Pipeline
 //!
-//! 1. **Candidate generation** — one CREST sweep enumerates every
-//!    region with a representative rectangle whose interior lies inside
-//!    the region. Regions are deduplicated by RNN-set signature in
-//!    first-occurrence order (the same tie-break contract as
-//!    [`crate::postprocess::top_k`]).
-//! 2. **Pruning bounds** — each distinct signature gets an admissible
-//!    optimistic bound from [`InfluenceMeasure::upper_bound`]. For
-//!    measures with a cheap bound (count, capacity) this is O(1) per
-//!    region; candidates are then visited best-bound-first and exact
-//!    evaluation stops as soon as the next bound cannot displace the
-//!    current m-th best — a short-circuit instead of scoring every
-//!    region.
+//! 1. **Candidate generation** — one CREST sweep (count probe)
+//!    enumerates every region with a representative rectangle whose
+//!    interior lies inside the region.
+//! 2. **Ranking** — the sweep streams into a [`TopKSink`] of size `m`
+//!    ([`TopKSink::label_set`]), the same table and tie-break contract
+//!    as [`crate::postprocess::top_k`]: regions deduplicate by sorted
+//!    RNN set in first-occurrence order and rank by the measure's
+//!    influence of that sorted set. A label is skipped unsorted when
+//!    [`InfluenceMeasure::raw_upper_bound`] puts it below the current
+//!    m-th best (O(1) for a count), and skipped unhashed when its
+//!    score does; only signatures that could still enter are stored.
+//!    `best_placement`, greedy steps and relocation are the `m = 1`
+//!    case.
 //! 3. **Incremental evaluation** — what-if placements
 //!    ([`PlacementQuery::evaluate_insert`], greedy commits) reuse the
 //!    snapshot edit engine: a tentative insert is an incremental
@@ -33,7 +34,7 @@
 //!    candidate.
 //!
 //! Answers are exact, never sampled: the sweep enumerates *all*
-//! regions, the bounds are admissible, and a synthetic exterior
+//! regions, the skips are sound, and a synthetic exterior
 //! candidate keeps the answer total over the whole plane even when
 //! every labeled region would be worse than placing nowhere near the
 //! clients (possible for measures where an empty RNN set is not the
@@ -48,17 +49,16 @@
 //! for them closed and open containment coincide.
 
 use std::cell::OnceCell;
-use std::collections::HashMap;
 
 use rnnhm_geom::{Circle, Point, Rect};
 use rnnhm_index::{EnclosureIndex, RTree};
 
-use crate::arrangement::{fnv1a_words, CoordSpace};
+use crate::arrangement::CoordSpace;
 use crate::crest::crest_sweep;
 use crate::crest_l2::crest_l2_sweep;
 use crate::edit::{ArrangementRef, EditError, EditOutcome};
 use crate::measure::{CountMeasure, InfluenceMeasure};
-use crate::sink::RegionSink;
+use crate::sink::{RegionSink, TopKSink};
 use crate::snapshot::ArrangementSnapshot;
 use crate::window::crest_window;
 
@@ -82,15 +82,22 @@ pub struct PlacementRegion {
     pub influence: f64,
 }
 
-/// How much work the upper-bound pruning saved during a
-/// [`PlacementQuery::top_placements_stats`] call.
+/// What the ranking sink of a [`PlacementQuery::top_placements_stats`]
+/// call did with the labels it was offered: the sweep's labels that
+/// pass the window filter, plus the exterior candidate when it is
+/// offered. Every label is either skipped on its raw bound or scored,
+/// so `evaluated + pruned` is the number of labels, and only scored
+/// labels are hashed, so `distinct_regions <= evaluated`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
-    /// Distinct region signatures the sweep produced (candidate count).
+    /// Distinct RNN-set signatures hashed into the sink's table: those
+    /// that could still reach the top `m` when first seen.
     pub distinct_regions: usize,
-    /// Candidates whose exact influence was evaluated.
+    /// Labels whose sorted RNN set was scored with the measure.
     pub evaluated: usize,
-    /// Candidates short-circuited by the admissible upper bound.
+    /// Labels skipped, unsorted, because
+    /// [`InfluenceMeasure::raw_upper_bound`] put them below the `m`-th
+    /// best (always 0 for measures that keep the default bound, `∞`).
     pub pruned: usize,
 }
 
@@ -218,13 +225,11 @@ impl<'a, M: InfluenceMeasure> PlacementQuery<'a, M> {
         top_in(self.snap, self.measure, m, constraints).0
     }
 
-    /// The single best placement region (never `None`: the exterior
-    /// candidate makes the unconstrained answer total). Runs the
-    /// streaming argmax — no per-region dedup table — so it is the
-    /// cheap way to ask for exactly one region.
+    /// The single best placement region: the first of
+    /// [`PlacementQuery::top_placements`]`(1)`, never `None` because the
+    /// exterior candidate makes the unconstrained answer total.
     pub fn best_placement(&self) -> PlacementRegion {
-        best_in(self.snap, self.measure, &PlacementConstraints::none())
-            .expect("unconstrained placement is total")
+        self.top_placements(1).into_iter().next().expect("unconstrained placement is total")
     }
 
     /// The RNN set (sorted) and influence of placing a new facility
@@ -305,12 +310,10 @@ impl<'a, M: InfluenceMeasure> PlacementQuery<'a, M> {
         let mut steps: Vec<GreedyStep> = Vec::new();
         let mut current: Option<ArrangementSnapshot> = None;
         for _ in 0..count {
-            let best = {
-                let snap = current.as_ref().unwrap_or(self.snap);
-                best_in(snap, self.measure, constraints)
-            };
-            let Some(best) = best else { break };
             let snap = current.as_ref().unwrap_or(self.snap);
+            let Some(best) = top_in(snap, self.measure, 1, constraints).0.into_iter().next() else {
+                break;
+            };
             let (next, facility, _outcome) = snap.insert_facility(best.point)?;
             steps.push(GreedyStep { facility, chosen: best });
             current = Some(next);
@@ -370,25 +373,20 @@ fn exterior_rect(arr: ArrangementRef<'_>) -> Rect {
     }
 }
 
-/// Candidate slots in first-occurrence order: one `(representative
-/// rect, sorted signature)` per distinct region signature. A
-/// degenerate (zero-area) first representative is upgraded to the
-/// first positive-area rectangle seen for the same signature, so
-/// representative points stay strictly interior whenever the region
-/// has interior at all.
-fn candidate_slots(
+/// The top-m engine behind every placement query: one count-probe sweep
+/// into a [`TopKSink`] that scores each label's sorted RNN set with the
+/// measure.
+fn top_in<M: InfluenceMeasure>(
     snap: &ArrangementSnapshot,
+    measure: &M,
+    m: usize,
     constraints: &PlacementConstraints,
-) -> Vec<(Rect, Vec<u32>)> {
+) -> (Vec<PlacementRegion>, PruneStats) {
     let probe = CountMeasure;
     let arr = snap.arrangement();
-    let mut sink = SlotSink {
-        arr,
-        window: None,
-        scratch: Vec::new(),
-        by_hash: HashMap::new(),
-        slots: Vec::new(),
-    };
+    let top = TopKSink::with_bound(m, |raw: &[u32]| measure.raw_upper_bound(raw));
+    let mut sink =
+        PlacementSink { arr, window: None, measure, top, saw_empty: false, labels: 0, scored: 0 };
     match arr {
         ArrangementRef::Square(a) => match (constraints.within, a.space) {
             (Some(window), CoordSpace::Identity) => {
@@ -404,119 +402,22 @@ fn candidate_slots(
             crest_l2_sweep(d, &probe, &mut sink);
         }
     }
-    let mut slots = sink.slots;
-
     // The exterior (empty-RNN) candidate, only for unconstrained
     // queries and only when the sweep did not already emit an empty
-    // region.
-    if constraints.within.is_none() && !slots.iter().any(|(_, sig)| sig.is_empty()) {
-        slots.push((exterior_rect(arr), Vec::new()));
+    // region. Offered last, it loses every influence tie.
+    if constraints.within.is_none() && !sink.saw_empty {
+        sink.offer(exterior_rect(arr), &[]);
     }
-    slots
-}
-
-/// Streaming slot collector: dedups regions by RNN-set signature as
-/// the sweep emits them, allocating once per *distinct* signature
-/// instead of once per emitted region. The greedy loop re-sweeps the
-/// full arrangement per step, so at n=100k the per-region clones of a
-/// `CollectSink` (millions of short-lived `Vec`s) dominated its cost.
-struct SlotSink<'a> {
-    arr: ArrangementRef<'a>,
-    /// Region-granular window filter for the frames where the exact
-    /// windowed sweep is unavailable (rotated L1, disks): keep regions
-    /// whose representative point (guaranteed interior) lands in the
-    /// window. `None` when unconstrained or when `crest_window`
-    /// already filtered exactly.
-    window: Option<Rect>,
-    scratch: Vec<u32>,
-    by_hash: HashMap<u64, Vec<usize>>,
-    slots: Vec<(Rect, Vec<u32>)>,
-}
-
-impl RegionSink for SlotSink<'_> {
-    fn label(&mut self, rect: Rect, rnn: &[u32], _influence: f64) {
-        if let Some(window) = self.window {
-            let rep = to_region(self.arr, rect, Vec::new(), 0.0).point;
-            if !window.contains_closed(rep) {
-                return;
-            }
-        }
-        let Self { scratch, by_hash, slots, .. } = self;
-        scratch.clear();
-        scratch.extend_from_slice(rnn);
-        scratch.sort_unstable();
-        scratch.dedup();
-        let hash = fnv1a_words(scratch.iter().map(|&c| c as u64));
-        let bucket = by_hash.entry(hash).or_default();
-        match bucket.iter().find(|&&slot| slots[slot].1 == *scratch) {
-            Some(&slot) => {
-                let stored = &mut slots[slot].0;
-                if stored.area() <= 0.0 && rect.area() > 0.0 {
-                    *stored = rect;
-                }
-            }
-            None => {
-                bucket.push(slots.len());
-                slots.push((rect, scratch.clone()));
-            }
-        }
-    }
-}
-
-/// The shared top-m engine: candidate slots → admissible bounds →
-/// best-bound-first exact evaluation with short-circuit.
-fn top_in<M: InfluenceMeasure>(
-    snap: &ArrangementSnapshot,
-    measure: &M,
-    m: usize,
-    constraints: &PlacementConstraints,
-) -> (Vec<PlacementRegion>, PruneStats) {
-    let slots = candidate_slots(snap, constraints);
-    let mut stats = PruneStats { distinct_regions: slots.len(), evaluated: 0, pruned: slots.len() };
-    if m == 0 || slots.is_empty() {
-        return (Vec::new(), stats);
-    }
-
-    let bounds: Vec<f64> = slots.iter().map(|(_, sig)| measure.upper_bound(sig, &[])).collect();
-    let mut order: Vec<usize> = (0..slots.len()).collect();
-    order.sort_by(|&a, &b| {
-        bounds[b].partial_cmp(&bounds[a]).expect("finite influence bound").then(a.cmp(&b))
-    });
-
-    // Exact values of evaluated slots; `floor` is the m-th best exact
-    // influence so far. A remaining candidate with bound < floor can
-    // never displace the current top-m (bounds are admissible), and
-    // bounds are visited in non-increasing order, so evaluation stops
-    // there. Candidates with bound == floor are still evaluated: an
-    // exact tie is resolved by first-occurrence order, not skipped.
-    let mut exact: Vec<(usize, f64)> = Vec::new();
-    let mut floor = f64::NEG_INFINITY;
-    let mut top_vals: Vec<f64> = Vec::new();
-    for &s in &order {
-        if exact.len() >= m && bounds[s] < floor {
-            break;
-        }
-        let influence = measure.influence(&slots[s].1);
-        exact.push((s, influence));
-        top_vals.push(influence);
-        top_vals.sort_by(|a, b| b.partial_cmp(a).expect("finite influence"));
-        top_vals.truncate(m);
-        if top_vals.len() >= m {
-            floor = top_vals[m - 1];
-        }
-    }
-    stats.evaluated = exact.len();
-    stats.pruned = slots.len() - exact.len();
-
-    // Final ranking replicates postprocess::top_k exactly: stable
-    // descending by influence over first-occurrence slot order.
-    exact.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite influence").then(a.0.cmp(&b.0)));
-    exact.truncate(m);
-
-    let arr = snap.arrangement();
-    let mut out: Vec<PlacementRegion> = exact
+    let stats = PruneStats {
+        distinct_regions: sink.top.tracked(),
+        evaluated: sink.scored,
+        pruned: sink.labels - sink.scored,
+    };
+    let mut out: Vec<PlacementRegion> = sink
+        .top
+        .into_top()
         .into_iter()
-        .map(|(s, influence)| to_region(arr, slots[s].0, slots[s].1.clone(), influence))
+        .map(|r| to_region(arr, r.rect, r.rnn, r.influence))
         .collect();
     if let Some(min) = constraints.min_influence {
         out.retain(|r| r.influence >= min);
@@ -524,79 +425,37 @@ fn top_in<M: InfluenceMeasure>(
     (out, stats)
 }
 
-/// The streaming m = 1 engine: a single sweep with an `O(1)`-state
-/// argmax sink instead of the slot table of [`top_in`]. Answers are
-/// identical to `top_in(.., 1, ..)` — influence is a function of the
-/// signature alone, so the first emission achieving the maximum belongs
-/// to the earliest-first-occurring maximal signature, which is exactly
-/// the `top_k` tie-break — but the per-region cost drops from a
-/// sort + hash + table probe to (usually) one
-/// [`InfluenceMeasure::raw_upper_bound`] call. This is what keeps the
-/// greedy loop's per-step full-arrangement argmax near the raw sweep
-/// cost at n = 100k instead of ~30× over it.
-fn best_in<M: InfluenceMeasure>(
-    snap: &ArrangementSnapshot,
-    measure: &M,
-    constraints: &PlacementConstraints,
-) -> Option<PlacementRegion> {
-    let probe = CountMeasure;
-    let arr = snap.arrangement();
-    let mut sink = ArgmaxSink { arr, window: None, measure, scratch: Vec::new(), best: None };
-    match arr {
-        ArrangementRef::Square(a) => match (constraints.within, a.space) {
-            (Some(window), CoordSpace::Identity) => {
-                crest_window(a, window, &probe, &mut sink);
-            }
-            (within, _) => {
-                sink.window = within;
-                crest_sweep(a, &probe, &mut sink);
-            }
-        },
-        ArrangementRef::Disk(d) => {
-            sink.window = constraints.within;
-            crest_l2_sweep(d, &probe, &mut sink);
-        }
-    }
-    let mut best = sink.best;
-
-    // The exterior (empty-RNN) candidate ranks after every emitted
-    // region, exactly as the last-appended slot of `candidate_slots`:
-    // it wins only on strictly greater influence (or an empty sweep).
-    if constraints.within.is_none() {
-        let influence = measure.influence(&[]);
-        let wins = best.as_ref().is_none_or(|(_, _, b)| influence > *b);
-        if wins {
-            best = Some((exterior_rect(arr), Vec::new(), influence));
-        }
-    }
-
-    let (rect, sig, influence) = best?;
-    if constraints.min_influence.is_some_and(|min| influence < min) {
-        return None;
-    }
-    Some(to_region(arr, rect, sig, influence))
-}
-
-/// Streaming argmax over the sweep's emission, preserving the
-/// first-occurrence tie-break (strictly-greater replacement) and the
-/// zero-area representative upgrade of the slot path. Regions whose
-/// [`InfluenceMeasure::raw_upper_bound`] cannot beat the incumbent are
-/// skipped before the canonical sort/dedup — the hot path for dense
-/// arrangements, where almost every region loses on the cheap bound.
-struct ArgmaxSink<'a, M: InfluenceMeasure> {
+/// The sweep's side of [`top_in`]: filters labels by window where the
+/// sweep cannot, and offers the rest to the ranking sink.
+struct PlacementSink<'a, M, B> {
     arr: ArrangementRef<'a>,
     /// Region-granular window filter for the frames where the exact
-    /// windowed sweep is unavailable (rotated L1, disks), as in
-    /// `SlotSink`.
+    /// windowed sweep is unavailable (rotated L1, disks): keep regions
+    /// whose representative point (guaranteed interior) lands in the
+    /// window. `None` when unconstrained or when `crest_window`
+    /// already filtered exactly.
     window: Option<Rect>,
     measure: &'a M,
-    scratch: Vec<u32>,
-    /// `(representative rect, sorted signature, exact influence)` of
-    /// the incumbent best region.
-    best: Option<(Rect, Vec<u32>, f64)>,
+    top: TopKSink<B>,
+    /// Whether the sweep emitted an empty RNN set.
+    saw_empty: bool,
+    /// Labels offered to `top`, and how many of those it scored.
+    labels: usize,
+    scored: usize,
 }
 
-impl<M: InfluenceMeasure> RegionSink for ArgmaxSink<'_, M> {
+impl<M: InfluenceMeasure, B: Fn(&[u32]) -> f64> PlacementSink<'_, M, B> {
+    fn offer(&mut self, rect: Rect, rnn: &[u32]) {
+        let Self { measure, top, labels, scored, .. } = self;
+        *labels += 1;
+        top.label_set(rect, rnn, |set| {
+            *scored += 1;
+            measure.influence(set)
+        });
+    }
+}
+
+impl<M: InfluenceMeasure, B: Fn(&[u32]) -> f64> RegionSink for PlacementSink<'_, M, B> {
     fn label(&mut self, rect: Rect, rnn: &[u32], _influence: f64) {
         if let Some(window) = self.window {
             let rep = to_region(self.arr, rect, Vec::new(), 0.0).point;
@@ -604,42 +463,8 @@ impl<M: InfluenceMeasure> RegionSink for ArgmaxSink<'_, M> {
                 return;
             }
         }
-        let Self { measure, scratch, best, .. } = self;
-        if let Some((_, _, incumbent)) = best {
-            // Strict `<`: a bound *tying* the incumbent must still be
-            // canonicalized — it may be the same signature carrying a
-            // positive-area rect for the zero-area upgrade below.
-            if measure.raw_upper_bound(rnn) < *incumbent {
-                return;
-            }
-        }
-        scratch.clear();
-        scratch.extend_from_slice(rnn);
-        scratch.sort_unstable();
-        scratch.dedup();
-        match best {
-            Some((stored, sig, incumbent)) => {
-                let influence = measure.influence(scratch);
-                if influence > *incumbent {
-                    *stored = rect;
-                    sig.clear();
-                    sig.extend_from_slice(scratch);
-                    *incumbent = influence;
-                } else if influence == *incumbent
-                    && *sig == *scratch
-                    && stored.area() <= 0.0
-                    && rect.area() > 0.0
-                {
-                    // A later emission of the *winning* signature with
-                    // interior: upgrade the representative, keep rank.
-                    *stored = rect;
-                }
-            }
-            None => {
-                let influence = measure.influence(scratch);
-                *best = Some((rect, scratch.clone(), influence));
-            }
-        }
+        self.saw_empty |= rnn.is_empty();
+        self.offer(rect, rnn);
     }
 }
 
@@ -704,11 +529,16 @@ mod tests {
     #[test]
     fn pruning_short_circuits_but_stays_exact() {
         let s = snap(Metric::Linf, 1);
-        // CapacityMeasure has a cheap O(1) bound, so pruning applies.
+        // Labels scoring below the current best are dropped unhashed.
         let cap = CapacityMeasure::new(vec![0, 0, 1, 1, 0], vec![5, 5, 5, 5], 2);
         let q = PlacementQuery::new(&s, &cap);
         let (top, stats) = q.top_placements_stats(1);
-        assert_eq!(stats.evaluated + stats.pruned, stats.distinct_regions);
+        let mut labels = crate::sink::CollectSink::default();
+        let ArrangementRef::Square(a) = s.arrangement() else { panic!("an L∞ arrangement") };
+        crest_sweep(a, &CountMeasure, &mut labels);
+        let exterior = usize::from(labels.regions.iter().all(|r| !r.rnn.is_empty()));
+        assert_eq!(stats.evaluated + stats.pruned, labels.regions.len() + exterior);
+        assert!(stats.distinct_regions <= stats.evaluated);
         let full = top_in(&s, &cap, usize::MAX, &PlacementConstraints::none()).0;
         assert_eq!(top[0].influence, full[0].influence, "pruned answer == exhaustive answer");
         assert_eq!(top[0].rnn, full[0].rnn);

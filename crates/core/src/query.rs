@@ -7,20 +7,23 @@
 //! query plus one measure evaluation. This module provides that adapted
 //! solution.
 
-use rnnhm_geom::{Circle, Point, Rect};
+use rnnhm_geom::Point;
 use rnnhm_index::{EnclosureIndex, RTree};
 
-use crate::arrangement::{DiskArrangement, SquareArrangement};
+use crate::arrangement::SquareArrangement;
 use crate::measure::InfluenceMeasure;
 
-/// The RNN set of one candidate location (sweep-space coordinates for
-/// square arrangements). Closed containment: a candidate exactly on an
-/// NN-circle boundary ties with the client's current facility and wins
-/// it, per the paper's `≤` in the RNN definition (§III-A).
+/// The RNN set (sorted) of one candidate location (sweep-space
+/// coordinates for square arrangements). Closed containment: a
+/// candidate exactly on an NN-circle boundary ties with the client's
+/// current facility and wins it, per the paper's `≤` in the RNN
+/// definition (§III-A).
 pub fn rnn_of_candidate_square(arr: &SquareArrangement, tree: &RTree, q: Point) -> Vec<u32> {
     let mut hits = Vec::new();
     tree.stab_point(q, &mut hits);
-    hits.iter().map(|&c| arr.owners[c as usize]).collect()
+    let mut rnn: Vec<u32> = hits.iter().map(|&c| arr.owners[c as usize]).collect();
+    rnn.sort_unstable();
+    rnn
 }
 
 /// Scores every candidate against a square arrangement: `(RNN set,
@@ -36,31 +39,6 @@ pub fn influence_at_points_square<M: InfluenceMeasure>(
         .iter()
         .map(|&q| {
             let rnn = rnn_of_candidate_square(arr, &tree, arr.space.to_sweep(q));
-            let influence = measure.influence(&rnn);
-            (rnn, influence)
-        })
-        .collect()
-}
-
-/// Scores every candidate against a disk arrangement (L2).
-pub fn influence_at_points_disk<M: InfluenceMeasure>(
-    arr: &DiskArrangement,
-    measure: &M,
-    candidates: &[Point],
-) -> Vec<(Vec<u32>, f64)> {
-    let bboxes: Vec<Rect> = arr.disks.iter().map(Circle::bbox).collect();
-    let tree = RTree::build(&bboxes);
-    let mut hits = Vec::new();
-    candidates
-        .iter()
-        .map(|&q| {
-            hits.clear();
-            tree.stab(q, &mut hits);
-            let rnn: Vec<u32> = hits
-                .iter()
-                .filter(|&&c| arr.disks[c as usize].contains_closed(q))
-                .map(|&c| arr.owners[c as usize])
-                .collect();
             let influence = measure.influence(&rnn);
             (rnn, influence)
         })
@@ -90,7 +68,7 @@ mod tests {
     use crate::arrangement::{build_square_arrangement, CoordSpace, Mode};
     use crate::measure::CountMeasure;
     use crate::oracle::{rnn_at_points, signature};
-    use rnnhm_geom::Metric;
+    use rnnhm_geom::{Metric, Rect};
 
     fn arr_from_squares(squares: Vec<Rect>) -> SquareArrangement {
         let owners = (0..squares.len() as u32).collect();
@@ -151,19 +129,5 @@ mod tests {
         let top = top_t_candidates_square(&arr, &CountMeasure, &candidates, 2);
         assert_eq!(top[0], (1, 3.0));
         assert_eq!(top[1], (2, 1.0));
-    }
-
-    #[test]
-    fn disk_candidates_match_containment() {
-        let disks =
-            vec![Circle::new(Point::new(0.0, 0.0), 2.0), Circle::new(Point::new(1.0, 0.0), 2.0)];
-        let arr = DiskArrangement { disks, owners: vec![0, 1], n_clients: 2, dropped: 0, k: 1 };
-        let scored = influence_at_points_disk(
-            &arr,
-            &CountMeasure,
-            &[Point::new(0.5, 0.0), Point::new(-1.5, 0.0), Point::new(9.0, 9.0)],
-        );
-        let counts: Vec<f64> = scored.iter().map(|(_, f)| *f).collect();
-        assert_eq!(counts, vec![2.0, 1.0, 0.0]);
     }
 }

@@ -81,15 +81,20 @@ impl RegionSink for MaxSink {
 
 /// Keeps the `k` most influential regions, deduplicated by RNN set: the
 /// paper's "regions having the top-k heat values" post-processing, and
-/// the crate's one exact top-k ([`crate::postprocess::top_k`] replays a
-/// label list through it).
+/// the crate's one exact top-k and one RNN-signature table
+/// ([`crate::postprocess::top_k`] replays a label list through it, and
+/// MaxBRkNN placement ranks its candidates through
+/// [`TopKSink::label_set`]).
 ///
 /// The answer is a function of the label stream. Labels group by RNN-set
 /// signature ([`crate::oracle::signature`]); CREST may label one region
 /// several times (bounded by Lemma 3), and those labels collapse into one
-/// entry. Each signature is represented by the first label carrying its
-/// highest influence, and the signatures are ranked by that influence,
-/// descending, with ties broken by the signature's first occurrence.
+/// entry. Through [`RegionSink::label`], each signature is represented
+/// by the first label carrying its highest influence; through
+/// [`TopKSink::label_set`], by its first label, upgraded once to the
+/// first later one with positive area when that first rectangle has
+/// none. The signatures are ranked by influence, descending, with ties
+/// broken by the signature's first occurrence.
 ///
 /// A label is canonicalized (sorted into a scratch buffer, FNV-hashed and
 /// confirmed against the tracked signatures with that hash) unless its
@@ -190,13 +195,69 @@ impl<B: Fn(&[u32]) -> f64> TopKSink<B> {
         top.into_iter().map(|r| r.region).collect()
     }
 
-    /// The slot of `rnn`'s signature, tracking it (with `influence` as
-    /// its best) if new; the flag says whether it was.
-    fn track(&mut self, rnn: &[u32], influence: f64) -> (usize, bool) {
+    /// Number of distinct signatures tracked (hashed and stored) so far.
+    pub(crate) fn tracked(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Offers a label whose influence is a function of its RNN set
+    /// alone, as a placement score is: `score` receives the set sorted
+    /// and deduplicated, and a retained region carries that sorted set.
+    ///
+    /// A label is skipped, unsorted, when the top is full and the
+    /// sink's bound on `rnn` is below the `k`-th best; it is skipped,
+    /// sorted and scored but unhashed, when its score is below the
+    /// `k`-th best. Both skips are sound because a signature's score
+    /// never changes, so a signature below the `k`-th best can never
+    /// enter later. A new signature is offered at its score (on equal
+    /// influence the earlier first occurrence wins); a retained one
+    /// whose rectangle has zero area takes the first later rectangle
+    /// with positive area, so a representative point stays interior
+    /// whenever the region has interior at all.
+    pub fn label_set(&mut self, rect: Rect, rnn: &[u32], score: impl FnOnce(&[u32]) -> f64) {
+        if self.below_floor((self.bound)(rnn)) {
+            return;
+        }
+        self.load(rnn);
+        self.scratch.dedup();
+        let influence = score(&self.scratch);
+        if self.below_floor(influence) {
+            return;
+        }
+        match self.track(influence) {
+            (slot, true) => {
+                let set = std::mem::take(&mut self.scratch);
+                self.offer(slot, rect, &set, influence);
+                self.scratch = set;
+            }
+            (slot, false) => {
+                // A slot that is not retained has rank `NONE`, out of range.
+                if let Some(kept) = self.top.get_mut(self.slots[slot].rank) {
+                    if kept.region.rect.area() <= 0.0 && rect.area() > 0.0 {
+                        kept.region.rect = rect;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Whether the top is full and `bound` is below its `k`-th best.
+    fn below_floor(&self, bound: f64) -> bool {
+        self.top.len() == self.k && (self.k == 0 || bound < self.top[self.worst].region.influence)
+    }
+
+    /// Sorts `rnn` into the scratch buffer.
+    fn load(&mut self, rnn: &[u32]) {
+        self.scratch.clear();
+        self.scratch.extend_from_slice(rnn);
+        self.scratch.sort_unstable();
+    }
+
+    /// The slot of the signature in the scratch buffer, tracking it
+    /// (with `influence` as its best) if new; the flag says whether it
+    /// was.
+    fn track(&mut self, influence: f64) -> (usize, bool) {
         let Self { scratch, arena, by_hash, slots, .. } = self;
-        scratch.clear();
-        scratch.extend_from_slice(rnn);
-        scratch.sort_unstable();
         let head = by_hash.entry(fnv1a_words(scratch.iter().map(|&c| c as u64))).or_insert(NONE);
         let mut at = *head;
         while at != NONE {
@@ -276,12 +337,11 @@ fn represent(region: &mut LabeledRegion, rect: Rect, rnn: &[u32], influence: f64
 
 impl<B: Fn(&[u32]) -> f64> RegionSink for TopKSink<B> {
     fn label(&mut self, rect: Rect, rnn: &[u32], influence: f64) {
-        if self.top.len() == self.k
-            && (self.k == 0 || (self.bound)(rnn) < self.top[self.worst].region.influence)
-        {
+        if self.below_floor((self.bound)(rnn)) {
             return;
         }
-        let slot = match self.track(rnn, influence) {
+        self.load(rnn);
+        let slot = match self.track(influence) {
             (slot, true) => slot,
             (slot, false) if influence > self.slots[slot].best => {
                 self.slots[slot].best = influence;
@@ -451,6 +511,103 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].influence, 2.0);
         assert_eq!(top[1].influence, 1.0);
+    }
+
+    /// A label stream with many influence ties, repeated sets emitted in
+    /// different orders (and with duplicates), and zero-area rectangles.
+    fn tied_stream(seed: u64) -> Vec<(Rect, Vec<u32>)> {
+        let mut state = seed;
+        let mut next = move |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        (0..200)
+            .map(|i| {
+                let len = next(4) as usize;
+                let mut set: Vec<u32> = (0..len).map(|_| next(6) as u32).collect();
+                set.reverse();
+                let x = i as f64;
+                let width = if next(3) == 0 { 0.0 } else { 1.0 };
+                (Rect::new(x, x + width, 0.0, 1.0), set)
+            })
+            .collect()
+    }
+
+    /// A score that ties often: the number of odd members.
+    fn odd_members(set: &[u32]) -> f64 {
+        set.iter().filter(|&&c| c % 2 == 1).count() as f64
+    }
+
+    /// The no-skip reference: every set's first label (a zero-area one
+    /// upgraded to the first later label with area), ranked by score
+    /// with ties to the earlier first occurrence.
+    fn replay(stream: &[(Rect, Vec<u32>)], k: usize) -> Vec<LabeledRegion> {
+        let mut firsts: Vec<LabeledRegion> = Vec::new();
+        for (rect, rnn) in stream {
+            let mut set = rnn.clone();
+            set.sort_unstable();
+            set.dedup();
+            match firsts.iter_mut().find(|r| r.rnn == set) {
+                Some(r) if r.rect.area() <= 0.0 && rect.area() > 0.0 => r.rect = *rect,
+                Some(_) => {}
+                None => {
+                    let influence = odd_members(&set);
+                    firsts.push(LabeledRegion { rect: *rect, rnn: set, influence });
+                }
+            }
+        }
+        firsts.sort_by(|a, b| b.influence.total_cmp(&a.influence));
+        firsts.truncate(k);
+        firsts
+    }
+
+    #[test]
+    fn label_set_skips_leave_the_no_skip_answer() {
+        for seed in 0..40 {
+            let stream = tied_stream(seed);
+            for k in 1..=6 {
+                let want = replay(&stream, k);
+                // An exact raw bound for this score (duplicates only
+                // inflate it), so the first skip fires too; and none.
+                let mut bounded = TopKSink::with_bound(k, |raw: &[u32]| odd_members(raw));
+                let mut unbounded = TopKSink::new(k);
+                for (rect, rnn) in &stream {
+                    bounded.label_set(*rect, rnn, odd_members);
+                    unbounded.label_set(*rect, rnn, odd_members);
+                }
+                assert!(bounded.tracked() <= unbounded.tracked(), "seed {seed} k {k}");
+                assert_eq!(bounded.into_top(), want, "seed {seed} k {k}: bounded");
+                assert_eq!(unbounded.into_top(), want, "seed {seed} k {k}: unbounded");
+            }
+        }
+    }
+
+    #[test]
+    fn label_set_with_k_zero_keeps_nothing() {
+        let mut s = TopKSink::new(0);
+        for (rect, rnn) in tied_stream(7) {
+            s.label_set(rect, &rnn, |_| panic!("k = 0 scores nothing"));
+        }
+        assert_eq!(s.tracked(), 0);
+        assert!(s.into_top().is_empty());
+    }
+
+    #[test]
+    fn label_set_upgrades_only_retained_signatures() {
+        let thin = |x: f64| Rect::new(x, x, 0.0, 1.0);
+        let mut s = TopKSink::new(2);
+        s.label_set(thin(0.0), &[3, 1], odd_members); // {1,3}: 2, retained
+        s.label_set(thin(1.0), &[5], odd_members); // {5}: 1, retained
+        s.label_set(thin(2.0), &[7], odd_members); // {7}: 1, tied, not retained
+        s.label_set(r(3.0), &[7], odd_members); // no upgrade: {7} is not kept
+        s.label_set(r(4.0), &[1, 3, 3], odd_members); // upgrades {1,3}
+        s.label_set(r(5.0), &[1, 3], odd_members); // the first upgrade stands
+        s.label_set(thin(6.0), &[5], odd_members); // zero area: no upgrade
+        assert_eq!(s.tracked(), 3);
+        let top = s.into_top();
+        assert_eq!(top[0], LabeledRegion { rect: r(4.0), rnn: vec![1, 3], influence: 2.0 });
+        assert_eq!(top[1], LabeledRegion { rect: thin(1.0), rnn: vec![5], influence: 1.0 });
+        assert_eq!(top.len(), 2);
     }
 
     #[test]

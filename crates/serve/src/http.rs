@@ -173,6 +173,31 @@ fn parse_query(q: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// Bytes of a binary raster body encoded per write (the head rides in
+/// the first write). A 512 KiB tile takes four writes; with 32 KiB
+/// chunks, `http_mixed`'s median op took ~6% longer (2-core VM).
+const CHUNK_BYTES: usize = 128 * 1024;
+
+/// A response body.
+#[derive(Debug)]
+pub enum Body {
+    /// Bytes, written as they are.
+    Bytes(Vec<u8>),
+    /// A binary raster: `f64` values, written little-endian in bounded
+    /// chunks straight from the values, never encoded whole.
+    F64Le(Vec<f64>),
+}
+
+impl Body {
+    /// Size on the wire.
+    fn len(&self) -> usize {
+        match self {
+            Body::Bytes(bytes) => bytes.len(),
+            Body::F64Le(values) => values.len() * 8,
+        }
+    }
+}
+
 /// An HTTP response under construction.
 #[derive(Debug)]
 pub struct Response {
@@ -182,7 +207,7 @@ pub struct Response {
     /// automatically).
     pub headers: Vec<(String, String)>,
     /// Response body.
-    pub body: Vec<u8>,
+    pub body: Body,
     /// Whether the connection must close after this response.
     pub close: bool,
 }
@@ -190,7 +215,7 @@ pub struct Response {
 impl Response {
     /// An empty response with `status`.
     pub fn new(status: u16) -> Response {
-        Response { status, headers: Vec::new(), body: Vec::new(), close: false }
+        Response { status, headers: Vec::new(), body: Body::Bytes(Vec::new()), close: false }
     }
 
     /// A `text/plain` response (a trailing newline is appended).
@@ -199,19 +224,14 @@ impl Response {
         body.push('\n');
         Response::new(status)
             .header("Content-Type", "text/plain; charset=utf-8")
-            .with_body(body.into_bytes())
+            .with_body(Body::Bytes(body.into_bytes()))
     }
 
     /// An `application/json` response.
     pub fn json(status: u16, body: String) -> Response {
         Response::new(status)
             .header("Content-Type", "application/json")
-            .with_body(body.into_bytes())
-    }
-
-    /// An `application/octet-stream` response (binary rasters).
-    pub fn binary(body: Vec<u8>) -> Response {
-        Response::new(200).header("Content-Type", "application/octet-stream").with_body(body)
+            .with_body(Body::Bytes(body.into_bytes()))
     }
 
     /// Adds a header.
@@ -221,7 +241,7 @@ impl Response {
     }
 
     /// Sets the body.
-    pub fn with_body(mut self, body: Vec<u8>) -> Response {
+    pub fn with_body(mut self, body: Body) -> Response {
         self.body = body;
         self
     }
@@ -234,6 +254,16 @@ impl Response {
 
     /// Serializes the full wire form (head + body).
     pub fn to_bytes(&self) -> Vec<u8> {
+        let mut bytes = self.head();
+        match &self.body {
+            Body::Bytes(body) => bytes.extend_from_slice(body),
+            Body::F64Le(values) => bytes.extend(values.iter().flat_map(|v| v.to_le_bytes())),
+        }
+        bytes
+    }
+
+    /// The status line and headers, through the blank line.
+    fn head(&self) -> Vec<u8> {
         let mut head = format!("HTTP/1.1 {} {}\r\n", self.status, reason(self.status));
         for (name, value) in &self.headers {
             head.push_str(name);
@@ -248,20 +278,35 @@ impl Response {
             "Connection: keep-alive\r\n"
         });
         head.push_str("\r\n");
-        let mut bytes = head.into_bytes();
-        bytes.extend_from_slice(&self.body);
-        bytes
+        head.into_bytes()
     }
 
     /// Writes the response; `truncate_to` keeps only the first N wire
-    /// bytes (the fault-injection torn-write point).
-    pub fn write_to(&self, stream: &mut TcpStream, truncate_to: Option<usize>) -> io::Result<()> {
-        let mut bytes = self.to_bytes();
-        if let Some(keep) = truncate_to {
-            bytes.truncate(keep);
+    /// bytes (the fault-injection torn-write point). A raster body is
+    /// encoded 128 KiB at a time, so writing it holds one chunk beside
+    /// the values, not a second copy of the body.
+    pub fn write_to<W: Write>(&self, out: &mut W, truncate_to: Option<usize>) -> io::Result<()> {
+        match (&self.body, truncate_to) {
+            (Body::F64Le(values), None) => {
+                let mut chunk = self.head();
+                chunk.reserve_exact(CHUNK_BYTES);
+                for part in values.chunks(CHUNK_BYTES / 8) {
+                    for v in part {
+                        chunk.extend_from_slice(&v.to_le_bytes());
+                    }
+                    out.write_all(&chunk)?;
+                    chunk.clear();
+                }
+                // The head alone, when there are no values.
+                out.write_all(&chunk)?;
+            }
+            _ => {
+                let mut bytes = self.to_bytes();
+                bytes.truncate(truncate_to.unwrap_or(bytes.len()));
+                out.write_all(&bytes)?;
+            }
         }
-        stream.write_all(&bytes)?;
-        stream.flush()
+        out.flush()
     }
 }
 
@@ -308,5 +353,30 @@ mod tests {
         assert!(s.ends_with("\r\n\r\nhi\n"));
         let c = Response::new(204).close();
         assert!(String::from_utf8(c.to_bytes()).unwrap().contains("Connection: close"));
+    }
+
+    #[test]
+    fn raster_bodies_stream_the_same_bytes() {
+        // Two and a bit chunks: not a multiple of the chunk size.
+        let n = CHUNK_BYTES / 8 * 2 + 1001;
+        let values: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        let r = Response::new(200).header("X-Grid", "1 1").with_body(Body::F64Le(values));
+        let whole = r.to_bytes();
+        let Body::F64Le(values) = &r.body else { unreachable!() };
+        let body: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert!(whole.ends_with(&body));
+        assert!(String::from_utf8_lossy(&whole).contains(&format!("Content-Length: {}\r\n", n * 8)));
+        let mut streamed = Vec::new();
+        r.write_to(&mut streamed, None).unwrap();
+        assert_eq!(streamed, whole);
+        for keep in [10, CHUNK_BYTES + 3, whole.len() + 1] {
+            let mut torn = Vec::new();
+            r.write_to(&mut torn, Some(keep)).unwrap();
+            assert_eq!(torn, whole[..keep.min(whole.len())]);
+        }
+        let empty = Response::new(200).with_body(Body::F64Le(Vec::new()));
+        let mut streamed = Vec::new();
+        empty.write_to(&mut streamed, None).unwrap();
+        assert_eq!(streamed, empty.to_bytes());
     }
 }

@@ -39,5 +39,5 @@ pub mod json;
 pub mod server;
 
 pub use fault::{FaultCounts, FaultPlan};
-pub use http::{Request, Response};
+pub use http::{Body, Request, Response};
 pub use server::{serve, Server, ServerConfig, ServerStats, ROOT_SESSION};

@@ -74,7 +74,7 @@ use rnnhm_heatmap::raster::HeatRaster;
 use rnnhm_heatmap::tiles::TileId;
 
 use crate::fault::FaultPlan;
-use crate::http::{read_request, ReadError, Request, Response};
+use crate::http::{read_request, Body, ReadError, Request, Response};
 use crate::json;
 
 /// The root session every server starts with (never reaped, never
@@ -591,17 +591,16 @@ fn parse_u64(req: &Request, name: &str) -> Result<u64, Response> {
 }
 
 /// A binary raster response: row-major `f64` little-endian body plus
-/// the grid geometry headers clients need to interpret it.
-fn raster_response(raster: &HeatRaster) -> Response {
+/// the grid geometry headers clients need to interpret it. The body is
+/// the raster's own values, encoded as they are written.
+fn raster_response(raster: HeatRaster) -> Response {
     let spec = raster.spec;
-    let mut body = Vec::with_capacity(raster.values().len() * 8);
-    for v in raster.values() {
-        body.extend_from_slice(&v.to_le_bytes());
-    }
     let e = spec.extent;
-    Response::binary(body)
+    Response::new(200)
+        .header("Content-Type", "application/octet-stream")
         .header("X-Grid", &format!("{} {}", spec.width, spec.height))
         .header("X-Extent", &format!("{} {} {} {}", e.x_lo, e.x_hi, e.y_lo, e.y_hi))
+        .with_body(Body::F64Le(raster.into_values()))
 }
 
 fn region_json<M: IncrementalMeasure>(session: &Session<M>, region: &LabeledRegion) -> String {
@@ -793,12 +792,12 @@ fn tile_endpoint<M: IncrementalMeasure + Send + Sync>(
         }
         let frame = session.tile_lod(TileId { zoom, tx, ty });
         if frame.approx {
-            raster_response(&frame.raster)
+            raster_response(Arc::unwrap_or_clone(frame.raster))
                 .header("Cache-Control", "private")
                 .header("X-Approx", "1")
                 .header("X-Approx-Error", &format!("{}", frame.error_bound))
         } else {
-            raster_response(&frame.raster)
+            raster_response(Arc::unwrap_or_clone(frame.raster))
                 .header("ETag", &tag)
                 .header("Cache-Control", "private, immutable")
                 .header("X-Resolved", "1")
@@ -855,11 +854,11 @@ fn viewport_endpoint<M: IncrementalMeasure + Send + Sync>(
         }
         match session.viewport_deadline(rect, w, h, deadline) {
             ViewportFrame::Exact(raster) => {
-                raster_response(&raster).header("ETag", &tag).header("X-Resolved", "1")
+                raster_response(raster).header("ETag", &tag).header("X-Resolved", "1")
             }
             ViewportFrame::Degraded(preview) => {
                 ctx.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                raster_response(&preview.raster)
+                raster_response(preview.raster)
                     .header("X-Degraded", "1")
                     .header("X-Resolved", &format!("{}", preview.resolved))
             }
@@ -867,7 +866,7 @@ fn viewport_endpoint<M: IncrementalMeasure + Send + Sync>(
                 // A complete LoD answer, not a degraded one: labeled
                 // approximate, with its measured error bound, and
                 // without the strong-validator ETag.
-                raster_response(&raster)
+                raster_response(raster)
                     .header("X-Approx", "1")
                     .header("X-Approx-Error", &format!("{error_bound}"))
             }

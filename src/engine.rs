@@ -74,7 +74,6 @@ use rnnhm_core::placement::{
     GreedyStep, PlacementConstraints, PlacementQuery, PlacementRegion, PruneStats, Relocation,
 };
 use rnnhm_core::postprocess::threshold;
-use rnnhm_core::query::{influence_at_points_disk, influence_at_points_square};
 use rnnhm_core::sink::{CollectSink, LabeledRegion, RegionSink, TopKSink};
 use rnnhm_core::snapshot::{ArrangementSnapshot, RestrictedArrangement};
 use rnnhm_core::stats::SweepStats;
@@ -519,19 +518,12 @@ impl<M: InfluenceMeasure> Session<M> {
         self.with_list(|list, _| threshold(list, min_influence))
     }
 
-    /// The RNN set and influence of an arbitrary location (input-space
-    /// coordinates).
+    /// The RNN set (sorted) and influence of an arbitrary location
+    /// (input-space coordinates, closed containment): what a facility
+    /// placed there would capture, bit for bit
+    /// [`PlacementQuery::influence_of`].
     pub fn influence_at(&self, q: Point) -> (Vec<u32>, f64) {
-        match self.snap.arrangement() {
-            ArrangementRef::Square(arr) => {
-                influence_at_points_square(arr, &self.shared.measure, &[q])
-                    .pop()
-                    .expect("one candidate in, one result out")
-            }
-            ArrangementRef::Disk(arr) => influence_at_points_disk(arr, &self.shared.measure, &[q])
-                .pop()
-                .expect("one candidate in, one result out"),
-        }
+        PlacementQuery::new(&self.snap, &self.shared.measure).influence_of(q)
     }
 
     /// Maps a labeled region's representative point back to input-space

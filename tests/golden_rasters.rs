@@ -187,12 +187,29 @@ fn golden_hashes_are_stable_at_higher_k() {
 
 /// Hashes the top-3 placement answer — influence, representative
 /// point, RNN set, and input-space bbox, all at the bit level — for
-/// the count measure on the shared instance.
-fn placement_hash(metric: Metric, k: usize) -> u64 {
+/// one measure on the shared instance. Placement scores each region's
+/// sorted RNN set, so even the non-dyadic weighted sums are a pure
+/// function of the set.
+fn placement_hash(measure_key: &str, metric: Metric, k: usize) -> u64 {
     let (clients, facilities) = instance();
+    let n = clients.len();
     let snap = ArrangementSnapshot::build_k(clients, facilities, metric, Mode::Bichromatic, k)
         .expect("buildable instance");
-    let top = PlacementQuery::new(&snap, &CountMeasure).top_placements(3);
+    let top = match measure_key {
+        "count" => PlacementQuery::new(&snap, &CountMeasure).top_placements(3),
+        "weighted" => {
+            // Non-dyadic: a sum depends on its order in the last bit.
+            let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i * 37 % 97) as f64 / 97.0).collect();
+            PlacementQuery::new(&snap, &WeightedMeasure::new(weights)).top_placements(3)
+        }
+        "capacity" => {
+            let assigned: Vec<u32> = (0..n as u32).map(|i| i % 7).collect();
+            let capacities: Vec<u32> = (0..7u32).map(|f| 1 + f % 5).collect();
+            let measure = CapacityMeasure::new(assigned, capacities, 3);
+            PlacementQuery::new(&snap, &measure).top_placements(3)
+        }
+        other => panic!("unknown placement measure key {other}"),
+    };
     fnv1a_words(top.iter().flat_map(|p| {
         let mut words = vec![
             p.influence.to_bits(),
@@ -209,30 +226,45 @@ fn placement_hash(metric: Metric, k: usize) -> u64 {
     }))
 }
 
-/// Golden top-3 placements: (k, metric, fnv1a over the answer bits).
-/// Regenerated alongside the raster tables (the helper prints all
-/// three).
-const GOLDEN_PLACEMENT: &[(usize, &str, u64)] = &[
-    (1, "L1", 0x3b0ef78ec44e4270),
-    (1, "L2", 0x1b93f1dbbc5d0a68),
-    (1, "Linf", 0x7737893305b883bf),
-    (2, "L1", 0xafdef8bc95b998c2),
-    (2, "L2", 0x79dcb39ec5a3d209),
-    (2, "Linf", 0xc0aa06c28f4e4755),
+const PLACEMENT_MEASURES: [&str; 3] = ["count", "weighted", "capacity"];
+
+/// Golden top-3 placements: (k, measure, metric, fnv1a over the answer
+/// bits). Regenerated alongside the raster tables (the helper prints
+/// all three).
+const GOLDEN_PLACEMENT: &[(usize, &str, &str, u64)] = &[
+    (1, "count", "L1", 0x3b0ef78ec44e4270),
+    (1, "count", "L2", 0x1b93f1dbbc5d0a68),
+    (1, "count", "Linf", 0x7737893305b883bf),
+    (1, "weighted", "L1", 0x0f7986e4e88bb029),
+    (1, "weighted", "L2", 0x3a3c6d6b9050c399),
+    (1, "weighted", "Linf", 0x5829ab4bc5346366),
+    (1, "capacity", "L1", 0xe8f89080cbdcba79),
+    (1, "capacity", "L2", 0x121db5623a97cefc),
+    (1, "capacity", "Linf", 0x1aeb0c2ca72338cb),
+    (2, "count", "L1", 0xafdef8bc95b998c2),
+    (2, "count", "L2", 0x79dcb39ec5a3d209),
+    (2, "count", "Linf", 0xc0aa06c28f4e4755),
+    (2, "weighted", "L1", 0xb3c661a4174eed8b),
+    (2, "weighted", "L2", 0x7af57632cd0204a8),
+    (2, "weighted", "Linf", 0x7c36b2535b0c2c5d),
+    (2, "capacity", "L1", 0xa2b9e7de66f3d8ef),
+    (2, "capacity", "L2", 0xfc80152ca7f8cc3c),
+    (2, "capacity", "Linf", 0x1312c7533c7d3e6f),
 ];
 
 #[test]
 fn golden_placements_are_stable() {
-    for &(k, name, expect) in GOLDEN_PLACEMENT {
+    for &(k, measure, name, expect) in GOLDEN_PLACEMENT {
         let metric = Metric::ALL.into_iter().find(|m| metric_name(*m) == name).unwrap();
-        let got = placement_hash(metric, k);
+        let got = placement_hash(measure, metric, k);
         assert_eq!(
             got, expect,
-            "golden placement changed for k={k}/{name}: got {got:#018x}. If this is an \
-             intentional output change, regenerate with `cargo test --test golden_rasters -- \
+            "golden placement changed for k={k}/{measure}/{name}: got {got:#018x}. If this is \
+             an intentional output change, regenerate with `cargo test --test golden_rasters -- \
              --ignored --nocapture` (see module docs)."
         );
     }
+    assert_eq!(GOLDEN_PLACEMENT.len(), 2 * PLACEMENT_MEASURES.len() * Metric::ALL.len());
 }
 
 #[test]
@@ -270,9 +302,11 @@ fn regen_golden_hashes() {
     }
     println!("--- GOLDEN_PLACEMENT ---");
     for k in [1usize, 2] {
-        for metric in Metric::ALL {
-            let hash = placement_hash(metric, k);
-            println!("    ({k}, \"{}\", {hash:#018x}),", metric_name(metric));
+        for measure in PLACEMENT_MEASURES {
+            for metric in Metric::ALL {
+                let hash = placement_hash(measure, metric, k);
+                println!("    ({k}, \"{measure}\", \"{}\", {hash:#018x}),", metric_name(metric));
+            }
         }
     }
 }

@@ -113,7 +113,17 @@ fn check_combo<M: InfluenceMeasure>(
     let query = PlacementQuery::new(&snap, measure);
     const M_TOP: usize = 3;
     let (top, stats) = query.top_placements_stats(M_TOP);
-    assert_eq!(stats.evaluated + stats.pruned, stats.distinct_regions, "prune accounting");
+    // Every label is skipped on its raw bound or scored, and only scored
+    // labels are hashed; the exterior candidate is one more label when
+    // the sweep emits no empty set.
+    let mut labels = CollectSink::default();
+    match snap.arrangement() {
+        ArrangementRef::Square(a) => crest_sweep(a, &CountMeasure, &mut labels),
+        ArrangementRef::Disk(d) => crest_l2_sweep(d, &CountMeasure, &mut labels),
+    };
+    let exterior = usize::from(labels.regions.iter().all(|r| !r.rnn.is_empty()));
+    assert_eq!(stats.evaluated + stats.pruned, labels.regions.len() + exterior, "prune accounting");
+    assert!(top.len() <= stats.distinct_regions && stats.distinct_regions <= stats.evaluated);
     assert!(!top.is_empty(), "unconstrained placement is total");
     if top.iter().any(degenerate) {
         return;
