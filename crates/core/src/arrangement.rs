@@ -14,11 +14,22 @@
 //! circle-generic, so the `k`-generic builders
 //! ([`build_square_arrangement_k`] / [`build_disk_arrangement_k`])
 //! produce arrangements the whole stack consumes unchanged.
+//!
+//! Every build takes one path: one k-NN pass ([`knn_assignments`],
+//! client bands in parallel against one kd-tree), then one circle per
+//! client through one constructor. The static builders and
+//! [`crate::snapshot::ArrangementSnapshot::build_k`] share both steps,
+//! and the snapshot's edits share the constructor.
+
+use std::thread;
 
 use rnnhm_geom::transform::{l1_radius_to_linf, rotate45, unrotate45};
 use rnnhm_geom::{Circle, Metric, Point, Rect};
 use rnnhm_index::KdTree;
 
+use crate::edit::Shape;
+use crate::parallel::{chunk_ranges, effective_parallelism};
+use crate::snapshot::RestrictedArrangement;
 use crate::BuildError;
 
 /// Bichromatic (`O` and `F` distinct) or monochromatic (`O = F`) RNNs
@@ -60,6 +71,33 @@ impl CoordSpace {
         match self {
             CoordSpace::Identity => p,
             CoordSpace::Rotated45 => unrotate45(p),
+        }
+    }
+
+    /// The sweep-space bounding box of an input-space rectangle. The
+    /// identity frame returns `r` itself, bit for bit.
+    pub fn rect_to_sweep(&self, r: Rect) -> Rect {
+        self.map_corners(r, rotate45)
+    }
+
+    /// The input-space bounding box of a sweep-space rectangle. The
+    /// identity frame returns `r` itself, bit for bit.
+    pub fn rect_to_original(&self, r: Rect) -> Rect {
+        self.map_corners(r, unrotate45)
+    }
+
+    fn map_corners(&self, r: Rect, map: fn(Point) -> Point) -> Rect {
+        match self {
+            CoordSpace::Identity => r,
+            CoordSpace::Rotated45 => {
+                let corners = [
+                    map(Point::new(r.x_lo, r.y_lo)),
+                    map(Point::new(r.x_lo, r.y_hi)),
+                    map(Point::new(r.x_hi, r.y_lo)),
+                    map(Point::new(r.x_hi, r.y_hi)),
+                ];
+                Rect::bounding(&corners).expect("four corners")
+            }
         }
     }
 }
@@ -147,18 +185,7 @@ impl SquareArrangement {
     /// work instead of `O(n)` *setup* per tile
     /// (`rnnhm_heatmap::tiles`).
     pub fn restrict_to(&self, extent: Rect) -> SquareArrangement {
-        let window = match self.space {
-            CoordSpace::Identity => extent,
-            CoordSpace::Rotated45 => {
-                let corners = [
-                    rotate45(Point::new(extent.x_lo, extent.y_lo)),
-                    rotate45(Point::new(extent.x_lo, extent.y_hi)),
-                    rotate45(Point::new(extent.x_hi, extent.y_lo)),
-                    rotate45(Point::new(extent.x_hi, extent.y_hi)),
-                ];
-                Rect::bounding(&corners).expect("four corners")
-            }
-        };
+        let window = self.space.rect_to_sweep(extent);
         let mut squares = Vec::new();
         let mut owners = Vec::new();
         for (s, &o) in self.squares.iter().zip(&self.owners) {
@@ -266,42 +293,6 @@ impl DiskArrangement {
     }
 }
 
-/// Computes each client's nearest neighbor as `(id, distance)`.
-///
-/// In bichromatic mode `id` indexes `facilities`; in monochromatic mode
-/// `facilities` is ignored, each client's NN is its nearest *other*
-/// client, and `id` indexes `clients`. The distances are exactly what
-/// the arrangement builders use as NN-circle radii; the ids let
-/// [`crate::snapshot::ArrangementSnapshot`] maintain the assignment
-/// incrementally under facility edits.
-pub fn nn_assignments(
-    clients: &[Point],
-    facilities: &[Point],
-    metric: Metric,
-    mode: Mode,
-) -> Result<Vec<(u32, f64)>, BuildError> {
-    validate_instance(clients, facilities, mode, 1)?;
-    match mode {
-        Mode::Bichromatic => {
-            let tree = KdTree::build(facilities);
-            Ok(clients
-                .iter()
-                .map(|o| tree.nearest(o, metric).expect("non-empty facility tree"))
-                .collect())
-        }
-        Mode::Monochromatic => {
-            let tree = KdTree::build(clients);
-            Ok(clients
-                .iter()
-                .enumerate()
-                .map(|(i, o)| {
-                    tree.nearest_excluding(o, metric, i as u32).expect("at least two points")
-                })
-                .collect())
-        }
-    }
-}
-
 /// Checks an instance for emptiness, non-finite coordinates (a release
 /// build would otherwise let a NaN silently poison kd-tree ordering and
 /// scanline span math — `Point::new` only debug-asserts) and a
@@ -345,125 +336,141 @@ fn validate_instance(
     Ok(())
 }
 
-/// Computes each client's `k` nearest neighbors as `(id, distance)`
-/// pairs sorted by increasing distance — the RkNN generalization of
-/// [`nn_assignments`] (which it reproduces bitwise at `k = 1`).
+/// Computes each client's `k` nearest neighbors: the flat, client-major
+/// table of `k` `(id, distance)` pairs per client, each client's pairs
+/// sorted by increasing distance. This is the one k-NN pass behind
+/// every arrangement build.
 ///
-/// The last pair's distance is the client's `k`-th NN distance: the
-/// k-NN circle radius. In bichromatic mode ids index `facilities`; in
-/// monochromatic mode each client's neighbors are its nearest *other*
-/// clients and ids index `clients`. Errors on empty sets, non-finite
-/// coordinates, `k = 0`, and `k` larger than the available neighbor
-/// candidates.
+/// Client `i`'s pairs are `table[i * k..(i + 1) * k]`; the last pair's
+/// distance is its `k`-th NN distance, the k-NN circle radius. In
+/// bichromatic mode ids index `facilities`; in monochromatic mode each
+/// client's neighbors are its nearest *other* clients and ids index
+/// `clients`. Errors on empty sets, non-finite coordinates, `k = 0`,
+/// and `k` larger than the available neighbor candidates.
+///
+/// Clients are resolved in contiguous bands, one per core, against one
+/// shared kd-tree; with fewer than 2 clients per core the pass runs
+/// inline. The table is the same bit for bit at any band count.
 pub fn knn_assignments(
     clients: &[Point],
     facilities: &[Point],
     metric: Metric,
     mode: Mode,
     k: usize,
-) -> Result<Vec<Vec<(u32, f64)>>, BuildError> {
-    if k == 1 {
-        // The 1-NN fast path avoids a per-client Vec growth loop and is
-        // bitwise identical (the k-NN query breaks ties like `nearest`).
-        return Ok(nn_assignments(clients, facilities, metric, mode)?
-            .into_iter()
-            .map(|pair| vec![pair])
-            .collect());
-    }
-    validate_instance(clients, facilities, mode, k)?;
-    match mode {
-        Mode::Bichromatic => {
-            let tree = KdTree::build(facilities);
-            Ok(clients.iter().map(|o| tree.k_nearest(o, metric, k)).collect())
-        }
-        Mode::Monochromatic => {
-            let tree = KdTree::build(clients);
-            Ok(clients
-                .iter()
-                .enumerate()
-                .map(|(i, o)| tree.k_nearest_excluding(o, metric, k, i as u32))
-                .collect())
-        }
-    }
+) -> Result<Vec<(u32, f64)>, BuildError> {
+    let cores = effective_parallelism();
+    let bands = if clients.len() < 2 * cores { 1 } else { cores };
+    knn_table(clients, facilities, metric, mode, k, bands)
 }
 
-/// [`knn_assignments`] computed over contiguous client bands in
-/// parallel — **bitwise identical** output (every per-client query is
-/// independent and reads one shared kd-tree; only the scheduling
-/// changes, never the arithmetic). Falls through to the sequential
-/// scan on single-core machines. This is the sharded-build front end:
-/// the k-NN resolution dominates build time at millions of clients.
-pub fn knn_assignments_parallel(
+/// [`knn_assignments`] over `bands` contiguous client bands, one thread
+/// each (inline for one band). Only the scheduling depends on `bands`:
+/// every per-client query is independent and reads the same kd-tree.
+fn knn_table(
     clients: &[Point],
     facilities: &[Point],
     metric: Metric,
     mode: Mode,
     k: usize,
-) -> Result<Vec<Vec<(u32, f64)>>, BuildError> {
-    let threads = crate::parallel::effective_parallelism();
-    if threads <= 1 || clients.len() < 2 * threads {
-        return knn_assignments(clients, facilities, metric, mode, k);
-    }
+    bands: usize,
+) -> Result<Vec<(u32, f64)>, BuildError> {
     validate_instance(clients, facilities, mode, k)?;
-    let tree = match mode {
-        Mode::Bichromatic => KdTree::build(facilities),
-        Mode::Monochromatic => KdTree::build(clients),
+    let tree = KdTree::build(match mode {
+        Mode::Bichromatic => facilities,
+        Mode::Monochromatic => clients,
+    });
+    // Fills the rows of the clients from `first` on. The 1-NN query is
+    // measurably cheaper than `k_nearest(.., 1)`, which it equals
+    // bitwise (the k-NN query breaks ties like `nearest`).
+    let resolve = |first: usize, rows: &mut [(u32, f64)]| {
+        for (j, row) in rows.chunks_exact_mut(k).enumerate() {
+            let i = first + j;
+            let o = &clients[i];
+            match (mode, k) {
+                (Mode::Bichromatic, 1) => {
+                    row[0] = tree.nearest(o, metric).expect("non-empty facility tree")
+                }
+                (Mode::Bichromatic, _) => row.copy_from_slice(&tree.k_nearest(o, metric, k)),
+                (Mode::Monochromatic, 1) => {
+                    row[0] =
+                        tree.nearest_excluding(o, metric, i as u32).expect("at least two points")
+                }
+                (Mode::Monochromatic, _) => {
+                    row.copy_from_slice(&tree.k_nearest_excluding(o, metric, k, i as u32))
+                }
+            }
+        }
     };
-    let ranges = crate::parallel::chunk_ranges(clients.len(), threads);
-    let mut out: Vec<Vec<(u32, f64)>> = Vec::with_capacity(clients.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|range| {
-                let tree = &tree;
-                scope.spawn(move || {
-                    let mut band = Vec::with_capacity(range.len());
-                    for i in range {
-                        let o = &clients[i];
-                        // Mirror the sequential paths exactly,
-                        // including the k = 1 `nearest` fast path.
-                        band.push(match (mode, k) {
-                            (Mode::Bichromatic, 1) => {
-                                vec![tree.nearest(o, metric).expect("non-empty facility tree")]
-                            }
-                            (Mode::Bichromatic, _) => tree.k_nearest(o, metric, k),
-                            (Mode::Monochromatic, 1) => vec![tree
-                                .nearest_excluding(o, metric, i as u32)
-                                .expect("at least two points")],
-                            (Mode::Monochromatic, _) => {
-                                tree.k_nearest_excluding(o, metric, k, i as u32)
-                            }
-                        });
-                    }
-                    band
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().expect("k-NN band worker panicked"));
+    let mut table = vec![(0u32, 0.0f64); clients.len() * k];
+    if bands <= 1 {
+        resolve(0, &mut table);
+        return Ok(table);
+    }
+    thread::scope(|scope| {
+        let mut rest = table.as_mut_slice();
+        for band in chunk_ranges(clients.len(), bands) {
+            let (rows, tail) = rest.split_at_mut(band.len() * k);
+            rest = tail;
+            let resolve = &resolve;
+            scope.spawn(move || resolve(band.start, rows));
         }
     });
-    Ok(out)
+    Ok(table)
 }
 
-/// Computes each client's `k`-th NN distance to the facility set.
-fn knn_radii(
-    clients: &[Point],
-    facilities: &[Point],
-    metric: Metric,
-    mode: Mode,
-    k: usize,
-) -> Result<Vec<f64>, BuildError> {
-    if k == 1 {
-        return Ok(nn_assignments(clients, facilities, metric, mode)?
-            .into_iter()
-            .map(|(_, d)| d)
-            .collect());
+/// The NN-circle of a client at `o` whose `k`-th NN distance is `r`, in
+/// sweep space: a square under L∞, the π/4-rotated square of the L1
+/// diamond (§VII-B), a disk under L2. `None` for a zero radius: a
+/// client on a facility has an empty-interior circle, which bounds no
+/// region and changes no RNN set of any region interior, so it is
+/// dropped. Every build and every edit makes its circles here.
+pub(crate) fn nn_circle(metric: Metric, o: Point, r: f64) -> Option<Shape> {
+    if r <= 0.0 {
+        return None;
     }
-    Ok(knn_assignments(clients, facilities, metric, mode, k)?
-        .into_iter()
-        .map(|nn| nn.last().expect("validated k >= 1").1)
-        .collect())
+    Some(match metric {
+        Metric::Linf => Shape::Square(Rect::centered(o, r)),
+        Metric::L1 => Shape::Square(Rect::centered(rotate45(o), l1_radius_to_linf(r))),
+        Metric::L2 => Shape::Disk(Circle::new(o, r)),
+    })
+}
+
+/// The contiguous arrangement of a [`knn_assignments`] table: one
+/// [`nn_circle`] per client with a positive radius, in client order.
+pub(crate) fn circle_arrangement(
+    clients: &[Point],
+    metric: Metric,
+    k: usize,
+    table: &[(u32, f64)],
+) -> RestrictedArrangement {
+    let n_clients = clients.len();
+    let (mut squares, mut disks) = match metric {
+        Metric::L2 => (Vec::new(), Vec::with_capacity(n_clients)),
+        _ => (Vec::with_capacity(n_clients), Vec::new()),
+    };
+    let mut owners = Vec::with_capacity(n_clients);
+    for (i, (&o, nn)) in clients.iter().zip(table.chunks_exact(k)).enumerate() {
+        match nn_circle(metric, o, nn[k - 1].1) {
+            Some(Shape::Square(s)) => squares.push(s),
+            Some(Shape::Disk(d)) => disks.push(d),
+            None => continue,
+        }
+        owners.push(i as u32);
+    }
+    let dropped = n_clients - owners.len();
+    match metric {
+        Metric::L2 => {
+            RestrictedArrangement::Disk(DiskArrangement { disks, owners, n_clients, dropped, k })
+        }
+        Metric::L1 | Metric::Linf => RestrictedArrangement::Square(SquareArrangement {
+            squares,
+            owners,
+            space: if metric == Metric::L1 { CoordSpace::Rotated45 } else { CoordSpace::Identity },
+            n_clients,
+            dropped,
+            k,
+        }),
+    }
 }
 
 /// Builds the square arrangement for L∞ or L1 instances.
@@ -498,28 +505,11 @@ pub fn build_square_arrangement_k(
     k: usize,
 ) -> Result<SquareArrangement, BuildError> {
     assert!(metric != Metric::L2, "L2 instances use build_disk_arrangement / crest_l2_sweep");
-    let radii = knn_radii(clients, facilities, metric, mode, k)?;
-    let space = match metric {
-        Metric::L1 => CoordSpace::Rotated45,
-        _ => CoordSpace::Identity,
+    let table = knn_assignments(clients, facilities, metric, mode, k)?;
+    let RestrictedArrangement::Square(arr) = circle_arrangement(clients, metric, k, &table) else {
+        unreachable!("L∞ and L1 circles are squares")
     };
-    let mut squares = Vec::with_capacity(clients.len());
-    let mut owners = Vec::with_capacity(clients.len());
-    let mut dropped = 0usize;
-    for (i, (&o, &r)) in clients.iter().zip(&radii).enumerate() {
-        if r <= 0.0 {
-            dropped += 1;
-            continue;
-        }
-        let (center, half) = match metric {
-            Metric::Linf => (o, r),
-            Metric::L1 => (rotate45(o), l1_radius_to_linf(r)),
-            Metric::L2 => unreachable!(),
-        };
-        squares.push(Rect::centered(center, half));
-        owners.push(i as u32);
-    }
-    Ok(SquareArrangement { squares, owners, space, n_clients: clients.len(), dropped, k })
+    Ok(arr)
 }
 
 /// Builds the disk arrangement for L2 instances (§VII-C).
@@ -539,19 +529,12 @@ pub fn build_disk_arrangement_k(
     mode: Mode,
     k: usize,
 ) -> Result<DiskArrangement, BuildError> {
-    let radii = knn_radii(clients, facilities, Metric::L2, mode, k)?;
-    let mut disks = Vec::with_capacity(clients.len());
-    let mut owners = Vec::with_capacity(clients.len());
-    let mut dropped = 0usize;
-    for (i, (&o, &r)) in clients.iter().zip(&radii).enumerate() {
-        if r <= 0.0 {
-            dropped += 1;
-            continue;
-        }
-        disks.push(Circle::new(o, r));
-        owners.push(i as u32);
-    }
-    Ok(DiskArrangement { disks, owners, n_clients: clients.len(), dropped, k })
+    let table = knn_assignments(clients, facilities, Metric::L2, mode, k)?;
+    let RestrictedArrangement::Disk(arr) = circle_arrangement(clients, Metric::L2, k, &table)
+    else {
+        unreachable!("L2 circles are disks")
+    };
+    Ok(arr)
 }
 
 #[cfg(test)]
@@ -791,7 +774,8 @@ mod tests {
             BuildError::NonFiniteFacility(0)
         );
         assert_eq!(
-            nn_assignments(&[bad_client, good], &[], Metric::L2, Mode::Monochromatic).unwrap_err(),
+            knn_assignments(&[bad_client, good], &[], Metric::L2, Mode::Monochromatic, 1)
+                .unwrap_err(),
             BuildError::NonFiniteClient(0)
         );
         assert_eq!(
@@ -799,6 +783,35 @@ mod tests {
                 .unwrap_err(),
             BuildError::NonFiniteFacility(1)
         );
+    }
+
+    #[test]
+    fn knn_table_is_the_same_at_every_band_count() {
+        let mut state = 0x9e37u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64) * 8.0
+        };
+        let mut clients: Vec<Point> = (0..203).map(|_| Point::new(next(), next())).collect();
+        let facilities: Vec<Point> = (0..11).map(|_| Point::new(next(), next())).collect();
+        // Coincident points give zero distances and ties.
+        clients.extend([facilities[2], facilities[2], clients[5]]);
+        for mode in [Mode::Bichromatic, Mode::Monochromatic] {
+            for metric in Metric::ALL {
+                for k in [1usize, 3] {
+                    let one = knn_table(&clients, &facilities, metric, mode, k, 1).unwrap();
+                    assert_eq!(one.len(), clients.len() * k);
+                    for bands in [2usize, 8] {
+                        let banded =
+                            knn_table(&clients, &facilities, metric, mode, k, bands).unwrap();
+                        let bits = |t: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                            t.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+                        };
+                        assert_eq!(bits(&banded), bits(&one), "{mode:?} {metric:?} k={k} {bands}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

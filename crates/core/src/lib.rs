@@ -53,7 +53,6 @@ pub mod parallel;
 pub mod placement;
 pub mod postprocess;
 pub mod pruning;
-pub mod query;
 pub mod rnnset;
 pub mod shard;
 pub mod sink;
@@ -63,8 +62,8 @@ pub mod window;
 
 pub use arrangement::{
     build_disk_arrangement, build_disk_arrangement_k, build_square_arrangement,
-    build_square_arrangement_k, knn_assignments, knn_assignments_parallel, nn_assignments,
-    CoordSpace, DiskArrangement, Mode, SquareArrangement,
+    build_square_arrangement_k, knn_assignments, CoordSpace, DiskArrangement, Mode,
+    SquareArrangement,
 };
 pub use edit::{ArrangementRef, CircleChange, DirtyRegion, EditError, EditOutcome, Shape};
 pub use measure::{

@@ -18,6 +18,7 @@ use crate::crest::{crest_a_sweep, crest_sweep};
 use crate::measure::InfluenceMeasure;
 use crate::sink::{CollectSink, MaxSink, RegionSink, SumSink, ThresholdSink, TopKSink};
 use crate::stats::SweepStats;
+use crate::window::clip_arrangement;
 
 /// The number of worker threads worth spawning on this machine:
 /// `std::thread::available_parallelism()`, falling back to 1 when the
@@ -89,7 +90,7 @@ impl MergeableSink for ThresholdSink {
 
 /// Sum accumulation is order-insensitive up to floating-point
 /// reassociation; exactness additionally needs the full-strip tiling
-/// (`full_strips = true`), where `clip_to_slab`'s half-open
+/// (`full_strips = true`), where [`clip_arrangement`]'s half-open
 /// membership (`lo < hi`) guarantees a circle tangent to a slab
 /// boundary contributes area to exactly one slab. See [`SumSink`].
 impl MergeableSink for SumSink {
@@ -97,29 +98,6 @@ impl MergeableSink for SumSink {
         self.weighted_sum += other.weighted_sum;
         self.area += other.area;
         self.labels += other.labels;
-    }
-}
-
-/// Clips an arrangement to the slab `[x_lo, x_hi]`, dropping squares
-/// outside it. Owner ids and the client universe are preserved.
-fn clip_to_slab(arr: &SquareArrangement, x_lo: f64, x_hi: f64) -> SquareArrangement {
-    let mut squares = Vec::new();
-    let mut owners = Vec::new();
-    for (s, &o) in arr.squares.iter().zip(&arr.owners) {
-        let lo = s.x_lo.max(x_lo);
-        let hi = s.x_hi.min(x_hi);
-        if lo < hi {
-            squares.push(Rect::new(lo, hi, s.y_lo, s.y_hi));
-            owners.push(o);
-        }
-    }
-    SquareArrangement {
-        squares,
-        owners,
-        space: arr.space,
-        n_clients: arr.n_clients,
-        dropped: arr.dropped,
-        k: arr.k,
     }
 }
 
@@ -200,8 +178,10 @@ where
         return (sink, stats);
     }
     let bounds = slab_bounds(arr, n_slabs);
-    let slabs: Vec<SquareArrangement> =
-        bounds.windows(2).map(|w| clip_to_slab(arr, w[0], w[1])).collect();
+    let slabs: Vec<SquareArrangement> = bounds
+        .windows(2)
+        .map(|w| clip_arrangement(arr, &Rect::new(w[0], w[1], f64::NEG_INFINITY, f64::INFINITY)))
+        .collect();
 
     let mut results: Vec<(S, SweepStats)> = Vec::with_capacity(slabs.len());
     thread::scope(|scope| {
@@ -343,10 +323,11 @@ mod tests {
     fn sum_sink_never_double_counts_boundary_tangent_circles() {
         // Unit squares [i, i+1] × [0, 1]: the 2-slab quantile bound
         // lands on lefts[2] = 2.0, which is *exactly* the right edge
-        // of the square [1, 2] — the tangency `clip_to_slab` must
-        // assign to the left slab only. The field is 1 everywhere on
-        // [0, 4] × [0, 1] under the count measure, so the integral is
-        // exactly 4; a double-counted tangent square would add 1.
+        // of the square [1, 2] — the tangency the slab clip
+        // (`clip_arrangement`) must assign to the left slab only. The
+        // field is 1 everywhere on [0, 4] × [0, 1] under the count
+        // measure, so the integral is exactly 4; a double-counted
+        // tangent square would add 1.
         let arr = arr_from_squares(vec![
             Rect::new(0.0, 1.0, 0.0, 1.0),
             Rect::new(1.0, 2.0, 0.0, 1.0),

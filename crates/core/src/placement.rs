@@ -44,9 +44,9 @@
 //!
 //! Point candidates use *closed* containment (a facility exactly on an
 //! NN-circle boundary ties with the client's current facility and wins
-//! it, per the `≤` of the paper's §III-A RNN definition), matching
-//! [`crate::query`]. Region representatives are strictly interior, so
-//! for them closed and open containment coincide.
+//! it, per the `≤` of the paper's §III-A RNN definition). Region
+//! representatives are strictly interior, so for them closed and open
+//! containment coincide.
 
 use std::cell::OnceCell;
 
@@ -331,20 +331,9 @@ fn to_region(
     influence: f64,
 ) -> PlacementRegion {
     let (bbox, point) = match arr {
-        ArrangementRef::Square(a) => match a.space {
-            CoordSpace::Identity => (rect, rect.center()),
-            CoordSpace::Rotated45 => {
-                let corners = [
-                    Point::new(rect.x_lo, rect.y_lo),
-                    Point::new(rect.x_lo, rect.y_hi),
-                    Point::new(rect.x_hi, rect.y_lo),
-                    Point::new(rect.x_hi, rect.y_hi),
-                ];
-                let mapped: Vec<Point> = corners.iter().map(|&c| a.space.to_original(c)).collect();
-                let bbox = Rect::bounding(&mapped).expect("four corners");
-                (bbox, a.space.to_original(rect.center()))
-            }
-        },
+        ArrangementRef::Square(a) => {
+            (a.space.rect_to_original(rect), a.space.to_original(rect.center()))
+        }
         ArrangementRef::Disk(_) => (rect, rect.center()),
     };
     PlacementRegion { rect, bbox, point, rnn, influence }

@@ -22,30 +22,36 @@
 //!   and child share all unchanged storage. A local edit on a 100k
 //!   client instance copies a few tens of kilobytes, not megabytes.
 //!
-//! The maintained geometry is **bitwise identical** to a from-scratch
+//! A snapshot is built on the crate's one build path
+//! ([`ArrangementSnapshot::build_k`]): the [`knn_assignments`] table
+//! becomes its candidate lists, and the contiguous arrangement the
+//! static builders make from that table is chunked into its shape
+//! stores. Edits make their circles with the same constructor, so the
+//! maintained geometry is **bitwise identical** to a from-scratch
 //! rebuild over the current facility set at every `k`; the
 //! differential proof lives in `tests/edits_match_rebuild.rs` and
-//! `edit.rs`'s unit tests.
+//! `edit.rs`'s unit tests. A sharded snapshot is
+//! `build_k(..)?.with_shards(n)`.
 //!
 //! Sweeps, rasterizers and queries consume contiguous
 //! [`SquareArrangement`]/[`DiskArrangement`] slices; a snapshot
 //! materializes that view lazily (once, cached) via
-//! [`ArrangementSnapshot::arrangement`], while the tile-serving hot path
-//! avoids materialization entirely through
-//! [`ArrangementSnapshot::restrict_to`], which filters straight off
-//! the chunked storage.
+//! [`ArrangementSnapshot::arrangement`] (a fresh build comes with it),
+//! while the tile-serving hot path avoids materialization entirely
+//! through [`ArrangementSnapshot::restrict_to`], which filters straight
+//! off the chunked storage.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
 
-use rnnhm_geom::transform::{l1_radius_to_linf, rotate45};
+use rnnhm_geom::transform::rotate45;
 use rnnhm_geom::{Circle, Metric, Point, Rect};
 use rnnhm_index::KdTree;
 
 use crate::arrangement::{
-    fnv1a_words, knn_assignments, knn_assignments_parallel, nn_assignments, CoordSpace,
-    DiskArrangement, Mode, SquareArrangement,
+    circle_arrangement, fnv1a_words, knn_assignments, nn_circle, CoordSpace, DiskArrangement, Mode,
+    SquareArrangement,
 };
 use crate::edit::{ArrangementRef, CircleChange, EditError, EditOutcome, Shape};
 use crate::parallel::effective_parallelism;
@@ -227,14 +233,9 @@ enum ShapeStore {
     Disk { disks: CowVec<Circle> },
 }
 
-/// The lazily materialized contiguous arrangement view.
-enum Materialized {
-    Square(SquareArrangement),
-    Disk(DiskArrangement),
-}
-
-/// A restricted, contiguous sub-arrangement produced by
-/// [`ArrangementSnapshot::restrict_to`] — the per-tile render base.
+/// A contiguous arrangement of either circle kind: the per-tile render
+/// base [`ArrangementSnapshot::restrict_to`] returns, and a snapshot's
+/// full contiguous view ([`ArrangementSnapshot::arrangement`]).
 pub enum RestrictedArrangement {
     /// Square NN-circles (L∞/L1).
     Square(SquareArrangement),
@@ -281,12 +282,11 @@ pub struct ArrangementSnapshot {
     fingerprint: u64,
     generation: u64,
     /// Spatial shard map (see [`crate::shard`]), present on snapshots
-    /// built via [`ArrangementSnapshot::build_k_sharded`] /
-    /// [`ArrangementSnapshot::with_shards`] and inherited by every
-    /// edit successor. Member lists are shared; summaries are patched
-    /// shard-locally in [`ArrangementSnapshot::seal`].
+    /// sharded with [`ArrangementSnapshot::with_shards`] and inherited
+    /// by every edit successor. Member lists are shared; summaries are
+    /// patched shard-locally in [`ArrangementSnapshot::seal`].
     shards: Option<ShardMap>,
-    materialized: OnceLock<Arc<Materialized>>,
+    materialized: OnceLock<Arc<RestrictedArrangement>>,
 }
 
 impl ArrangementSnapshot {
@@ -300,9 +300,12 @@ impl ArrangementSnapshot {
         ArrangementSnapshot::build_k(clients, facilities, metric, mode, 1)
     }
 
-    /// Builds the RkNN snapshot for a configurable `k`. The circle
-    /// geometry is identical (including shape order) to what the
-    /// static builders produce for the same input.
+    /// Builds the RkNN snapshot for a configurable `k`: one
+    /// [`knn_assignments`] pass, whose table becomes the candidate
+    /// lists, and the same contiguous arrangement the static builders
+    /// build from it (shapes in the same order), which is chunked into
+    /// the shape stores and kept as the pre-warmed contiguous view.
+    /// Shard the result with [`ArrangementSnapshot::with_shards`].
     pub fn build_k(
         clients: Vec<Point>,
         facilities: Vec<Point>,
@@ -310,123 +313,39 @@ impl ArrangementSnapshot {
         mode: Mode,
         k: usize,
     ) -> Result<ArrangementSnapshot, BuildError> {
-        let cands: Vec<(u32, f64)> = if k == 1 {
-            nn_assignments(&clients, &facilities, metric, mode)?
-        } else {
-            knn_assignments(&clients, &facilities, metric, mode, k)?.into_iter().flatten().collect()
+        let cands = knn_assignments(&clients, &facilities, metric, mode, k)?;
+        let view = circle_arrangement(&clients, metric, k, &cands);
+        let (shapes, owners, dropped, base_fingerprint) = match &view {
+            RestrictedArrangement::Square(a) => (
+                ShapeStore::Square {
+                    squares: CowVec::from_vec(a.squares.clone(), SHAPE_CHUNK),
+                    space: a.space,
+                },
+                &a.owners,
+                a.dropped,
+                a.fingerprint(),
+            ),
+            RestrictedArrangement::Disk(a) => (
+                ShapeStore::Disk { disks: CowVec::from_vec(a.disks.clone(), SHAPE_CHUNK) },
+                &a.owners,
+                a.dropped,
+                a.fingerprint(),
+            ),
         };
-        Ok(Self::assemble(clients, facilities, metric, mode, k, cands))
-    }
-
-    /// [`ArrangementSnapshot::build_k`] scaled for millions of
-    /// clients: the k-NN assignments are computed over client bands in
-    /// parallel (bitwise identical to the sequential scan — each query
-    /// is independent) and the result carries a [`ShardMap`] of
-    /// `n_shards` vertical slabs, so `restrict_to` and tile rendering
-    /// touch only the shards a window intersects and edits patch only
-    /// the shard summaries they dirty.
-    ///
-    /// The circle geometry, candidate lists and radii are **byte
-    /// identical** to the unsharded build (differentially tested in
-    /// `tests/sharded_matches_unsharded.rs`); only the fingerprint
-    /// differs — it composes the per-shard fingerprints, see
-    /// [`ShardMap::compose_fingerprint`].
-    pub fn build_k_sharded(
-        clients: Vec<Point>,
-        facilities: Vec<Point>,
-        metric: Metric,
-        mode: Mode,
-        k: usize,
-        n_shards: usize,
-    ) -> Result<ArrangementSnapshot, BuildError> {
-        let cands: Vec<(u32, f64)> =
-            knn_assignments_parallel(&clients, &facilities, metric, mode, k)?
-                .into_iter()
-                .flatten()
-                .collect();
-        Ok(Self::assemble(clients, facilities, metric, mode, k, cands).with_shards(n_shards))
-    }
-
-    /// Assembles the snapshot from precomputed candidate lists (the
-    /// common tail of the sequential and parallel builds).
-    fn assemble(
-        clients: Vec<Point>,
-        facilities: Vec<Point>,
-        metric: Metric,
-        mode: Mode,
-        k: usize,
-        cands: Vec<(u32, f64)>,
-    ) -> ArrangementSnapshot {
-        let n = clients.len();
-        debug_assert_eq!(cands.len(), n * k, "validated instance offers k neighbors per client");
-        let mut radii = Vec::with_capacity(n);
-        let mut shape_at = vec![NO_SHAPE; n];
-        let mut owners: Vec<u32> = Vec::with_capacity(n);
-        let mut dropped = 0usize;
-        let mut squares: Vec<Rect> = Vec::new();
-        let mut disks: Vec<Circle> = Vec::new();
-        for i in 0..n {
-            let r = cands[i * k + k - 1].1;
-            radii.push(r);
-            if r <= 0.0 {
-                dropped += 1;
-                continue;
-            }
-            shape_at[i] = owners.len() as u32;
-            owners.push(i as u32);
-            match metric {
-                Metric::L2 => disks.push(Circle::new(clients[i], r)),
-                Metric::Linf => squares.push(Rect::centered(clients[i], r)),
-                Metric::L1 => {
-                    squares.push(Rect::centered(rotate45(clients[i]), l1_radius_to_linf(r)))
-                }
-            }
+        let mut shape_at = vec![NO_SHAPE; clients.len()];
+        for (idx, &o) in owners.iter().enumerate() {
+            shape_at[o as usize] = idx as u32;
         }
-        // The contiguous arrangement doubles as the pre-warmed
-        // materialized view, so build + sweep flows pay nothing extra.
-        let (shapes, materialized) = match metric {
-            Metric::L2 => {
-                let arr = DiskArrangement {
-                    disks: disks.clone(),
-                    owners: owners.clone(),
-                    n_clients: n,
-                    dropped,
-                    k,
-                };
-                (
-                    ShapeStore::Disk { disks: CowVec::from_vec(disks, SHAPE_CHUNK) },
-                    Materialized::Disk(arr),
-                )
-            }
-            m => {
-                let space =
-                    if m == Metric::L1 { CoordSpace::Rotated45 } else { CoordSpace::Identity };
-                let arr = SquareArrangement {
-                    squares: squares.clone(),
-                    owners: owners.clone(),
-                    space,
-                    n_clients: n,
-                    dropped,
-                    k,
-                };
-                (
-                    ShapeStore::Square { squares: CowVec::from_vec(squares, SHAPE_CHUNK), space },
-                    Materialized::Square(arr),
-                )
-            }
-        };
-        let base_fingerprint = match &materialized {
-            Materialized::Square(a) => a.fingerprint(),
-            Materialized::Disk(a) => a.fingerprint(),
-        };
+        let owners = CowVec::from_vec(owners.clone(), SHAPE_CHUNK);
+        let radii = cands.chunks_exact(k).map(|nn| nn[k - 1].1).collect();
         let cell = OnceLock::new();
-        let _ = cell.set(Arc::new(materialized));
+        let _ = cell.set(Arc::new(view));
         let n_alive = facilities.len();
         // Clients-per-chunk for the candidate store, sized so one COW
         // copy stays small at any k while windows never straddle a
         // chunk boundary (the chunk length is a multiple of k).
         let cand_chunk = k * (CLIENT_CHUNK / k.next_power_of_two()).max(1);
-        ArrangementSnapshot {
+        Ok(ArrangementSnapshot {
             metric,
             mode,
             k,
@@ -438,7 +357,7 @@ impl ArrangementSnapshot {
             radii: CowVec::from_vec(radii, CLIENT_CHUNK),
             shape_at: CowVec::from_vec(shape_at, CLIENT_CHUNK),
             shapes,
-            owners: CowVec::from_vec(owners, SHAPE_CHUNK),
+            owners,
             dropped,
             base_fingerprint,
             // Generation 0 reproduces the historical build fingerprint
@@ -447,7 +366,7 @@ impl ArrangementSnapshot {
             generation: 0,
             shards: None,
             materialized: cell,
-        }
+        })
     }
 
     /// Attaches a [`ShardMap`] of `n_shards` vertical slabs to this
@@ -602,18 +521,20 @@ impl ArrangementSnapshot {
 
     /// The materialized contiguous arrangement, built once on demand
     /// (the build-time snapshot comes pre-materialized).
-    fn materialized(&self) -> &Materialized {
+    fn materialized(&self) -> &RestrictedArrangement {
         self.materialized.get_or_init(|| {
             Arc::new(match &self.shapes {
-                ShapeStore::Square { squares, space } => Materialized::Square(SquareArrangement {
-                    squares: squares.to_vec(),
-                    owners: self.owners.to_vec(),
-                    space: *space,
-                    n_clients: self.clients.len(),
-                    dropped: self.dropped,
-                    k: self.k,
-                }),
-                ShapeStore::Disk { disks } => Materialized::Disk(DiskArrangement {
+                ShapeStore::Square { squares, space } => {
+                    RestrictedArrangement::Square(SquareArrangement {
+                        squares: squares.to_vec(),
+                        owners: self.owners.to_vec(),
+                        space: *space,
+                        n_clients: self.clients.len(),
+                        dropped: self.dropped,
+                        k: self.k,
+                    })
+                }
+                ShapeStore::Disk { disks } => RestrictedArrangement::Disk(DiskArrangement {
                     disks: disks.to_vec(),
                     owners: self.owners.to_vec(),
                     n_clients: self.clients.len(),
@@ -628,24 +549,24 @@ impl ArrangementSnapshot {
     /// (materialized lazily, cached for the snapshot's lifetime).
     pub fn arrangement(&self) -> ArrangementRef<'_> {
         match self.materialized() {
-            Materialized::Square(a) => ArrangementRef::Square(a),
-            Materialized::Disk(a) => ArrangementRef::Disk(a),
+            RestrictedArrangement::Square(a) => ArrangementRef::Square(a),
+            RestrictedArrangement::Disk(a) => ArrangementRef::Disk(a),
         }
     }
 
     /// The square arrangement, when the metric is L∞ or L1.
     pub fn square(&self) -> Option<&SquareArrangement> {
         match self.materialized() {
-            Materialized::Square(a) => Some(a),
-            Materialized::Disk(_) => None,
+            RestrictedArrangement::Square(a) => Some(a),
+            RestrictedArrangement::Disk(_) => None,
         }
     }
 
     /// The disk arrangement, when the metric is L2.
     pub fn disk(&self) -> Option<&DiskArrangement> {
         match self.materialized() {
-            Materialized::Square(_) => None,
-            Materialized::Disk(a) => Some(a),
+            RestrictedArrangement::Square(_) => None,
+            RestrictedArrangement::Disk(a) => Some(a),
         }
     }
 
@@ -657,18 +578,7 @@ impl ArrangementSnapshot {
     pub fn restrict_to(&self, extent: Rect) -> RestrictedArrangement {
         match &self.shapes {
             ShapeStore::Square { squares, space } => {
-                let window = match space {
-                    CoordSpace::Identity => extent,
-                    CoordSpace::Rotated45 => {
-                        let corners = [
-                            rotate45(Point::new(extent.x_lo, extent.y_lo)),
-                            rotate45(Point::new(extent.x_lo, extent.y_hi)),
-                            rotate45(Point::new(extent.x_hi, extent.y_lo)),
-                            rotate45(Point::new(extent.x_hi, extent.y_hi)),
-                        ];
-                        Rect::bounding(&corners).expect("four corners")
-                    }
-                };
+                let window = space.rect_to_sweep(extent);
                 let mut out_squares = Vec::new();
                 let mut out_owners = Vec::new();
                 if let Some(map) = &self.shards {
@@ -1051,21 +961,6 @@ impl ArrangementSnapshot {
         (KdTree::build(&pts), slots)
     }
 
-    /// The sweep-space shape of client `o`'s NN-circle at radius `r`,
-    /// or `None` for a zero radius.
-    fn shape_of(&self, o: usize, r: f64) -> Option<Shape> {
-        if r <= 0.0 {
-            return None;
-        }
-        Some(match self.metric {
-            Metric::Linf => Shape::Square(Rect::centered(self.clients[o], r)),
-            Metric::L1 => {
-                Shape::Square(Rect::centered(rotate45(self.clients[o]), l1_radius_to_linf(r)))
-            }
-            Metric::L2 => Shape::Disk(Circle::new(self.clients[o], r)),
-        })
-    }
-
     /// Records client `o`'s new `k`-th NN distance and updates the
     /// chunked geometry, the dirty region and the change list —
     /// identical logic to the historical in-place editor, expressed
@@ -1077,8 +972,8 @@ impl ArrangementSnapshot {
         }
         self.radii.set(o, new_r);
         out.dirty.push(Rect::centered(self.clients[o], old_r.max(new_r)));
-        let old_shape = self.shape_of(o, old_r);
-        let new_shape = self.shape_of(o, new_r);
+        let old_shape = nn_circle(self.metric, self.clients[o], old_r);
+        let new_shape = nn_circle(self.metric, self.clients[o], new_r);
         out.changes.push(CircleChange { owner: o as u32, old: old_shape, new: new_shape });
 
         let idx = *self.shape_at.get(o);

@@ -69,7 +69,6 @@ use rnnhm_core::arrangement::{CoordSpace, DiskArrangement, SquareArrangement};
 use rnnhm_core::measure::IncrementalMeasure;
 use rnnhm_core::parallel::{chunk_ranges, effective_parallelism};
 use rnnhm_geom::eps::EPS;
-use rnnhm_geom::transform::unrotate45;
 use rnnhm_geom::{Circle, Point, Rect};
 use rnnhm_index::interval::Interval;
 
@@ -181,16 +180,8 @@ impl RowShape for RotSquare {
     fn rows(&self, grid: &Grid) -> Option<(usize, usize)> {
         // Preimage of the sweep square is a diamond; bound it by the
         // unrotated corners.
-        let r = &self.rect;
-        let corners = [
-            unrotate45(Point::new(r.x_lo, r.y_lo)),
-            unrotate45(Point::new(r.x_lo, r.y_hi)),
-            unrotate45(Point::new(r.x_hi, r.y_lo)),
-            unrotate45(Point::new(r.x_hi, r.y_hi)),
-        ];
-        let lo = corners.iter().map(|p| p.y).fold(f64::INFINITY, f64::min);
-        let hi = corners.iter().map(|p| p.y).fold(f64::NEG_INFINITY, f64::max);
-        grid.candidate_rows(Interval::new(lo, hi))
+        let r = CoordSpace::Rotated45.rect_to_original(self.rect);
+        grid.candidate_rows(Interval::new(r.y_lo, r.y_hi))
     }
 
     fn span(&self, grid: &Grid, row: usize) -> Option<(u32, u32)> {

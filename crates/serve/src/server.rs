@@ -66,6 +66,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rnn_heatmap::{ExplorationEngine, Session, ViewportFrame};
+use rnnhm_core::edit::EditError;
 use rnnhm_core::measure::IncrementalMeasure;
 use rnnhm_core::placement::PlacementRegion;
 use rnnhm_core::sink::LabeledRegion;
@@ -590,6 +591,13 @@ fn parse_u64(req: &Request, name: &str) -> Result<u64, Response> {
         .map_err(|_| Response::text(400, &format!("query parameter '{name}' is not an integer")))
 }
 
+/// The facility id a query parameter names. Facility ids are `u32`, so
+/// a larger value names no facility; it is rejected like any unknown id
+/// rather than truncated onto a live one.
+fn facility_id(raw: u64) -> Result<u32, EditError> {
+    u32::try_from(raw).map_err(|_| EditError::UnknownFacility)
+}
+
 /// A binary raster response: row-major `f64` little-endian body plus
 /// the grid geometry headers clients need to interpret it. The body is
 /// the raster's own values, encoded as they are written.
@@ -985,18 +993,19 @@ fn relocate_endpoint<M: IncrementalMeasure + Send + Sync>(
     req: &Request,
     id: u64,
 ) -> Response {
-    let fid = match parse_u64(req, "facility") {
-        Ok(f) => f as u32,
+    let raw = match parse_u64(req, "facility") {
+        Ok(f) => f,
         Err(resp) => return resp,
     };
     let Some(arc) = ctx.session(id) else {
         return Response::text(404, "no such session (expired or never created)");
     };
     let mut session = arc.write().unwrap_or_else(|e| e.into_inner());
-    let rel = match session.best_relocation(fid) {
+    let rel = match facility_id(raw).and_then(|fid| session.best_relocation(fid)) {
         Ok(rel) => rel,
         Err(err) => return Response::text(422, &format!("relocation rejected: {err}")),
     };
+    let fid = rel.facility;
     match session.move_facility(fid, rel.best.point) {
         Ok(dirty) => Response::json(
             200,
@@ -1037,19 +1046,23 @@ fn edit_endpoint<M: IncrementalMeasure + Send + Sync>(
             session.add_facility(Point::new(x, y)).map(|(fid, dirty)| (Some(fid), dirty))
         }
         "remove" => match parse_u64(req, "id") {
-            Ok(fid) => session.remove_facility(fid as u32).map(|dirty| (None, dirty)),
+            Ok(raw) => facility_id(raw)
+                .and_then(|fid| session.remove_facility(fid))
+                .map(|dirty| (None, dirty)),
             Err(resp) => return resp,
         },
         "move" => {
-            let fid = match parse_u64(req, "id") {
-                Ok(fid) => fid,
+            let raw = match parse_u64(req, "id") {
+                Ok(raw) => raw,
                 Err(resp) => return resp,
             };
             let (x, y) = match (parse_f64(req, "x"), parse_f64(req, "y")) {
                 (Ok(x), Ok(y)) => (x, y),
                 (Err(resp), _) | (_, Err(resp)) => return resp,
             };
-            session.move_facility(fid as u32, Point::new(x, y)).map(|dirty| (None, dirty))
+            facility_id(raw)
+                .and_then(|fid| session.move_facility(fid, Point::new(x, y)))
+                .map(|dirty| (None, dirty))
         }
         _ => return Response::text(400, "op must be one of add, remove, move"),
     };

@@ -347,9 +347,17 @@ fn session_lifecycle_fork_edit_delete_and_queries() {
     assert!(inf_body.starts_with("{\"influence\":"), "{inf_body}");
     assert_eq!(request(addr, "GET", "/session/1/topk?k=0").unwrap().status, 422);
 
-    // Invalid edits are 422 with the engine's own error message.
-    let bad = request(addr, "POST", "/session/1/edit?op=remove&id=999999").unwrap();
-    assert_eq!(bad.status, 422);
+    // Invalid edits are 422 with the engine's own error message. An id
+    // past `u32::MAX` names no facility either: it must not wrap onto a
+    // live one (2^32 + 1 would otherwise remove or move facility 1).
+    let before = request(addr, "GET", "/session/1").unwrap().body;
+    for bad_edit in
+        ["op=remove&id=999999", "op=remove&id=4294967297", "op=move&id=4294967297&x=0.5&y=0.5"]
+    {
+        let bad = request(addr, "POST", &format!("/session/1/edit?{bad_edit}")).unwrap();
+        assert_eq!(bad.status, 422, "{bad_edit}");
+    }
+    assert_eq!(request(addr, "GET", "/session/1").unwrap().body, before, "nothing committed");
 
     // Delete is final.
     assert_eq!(request(addr, "DELETE", "/session/1").unwrap().status, 204);
@@ -443,8 +451,13 @@ fn placement_validates_input_and_methods() {
     assert_eq!(request(addr, "GET", "/session/0/placement?m=0").unwrap().status, 422);
     assert_eq!(request(addr, "GET", "/session/0/placement?m=101").unwrap().status, 422);
     assert_eq!(request(addr, "GET", "/session/0/placement?m=abc").unwrap().status, 422);
-    let unknown = request(addr, "POST", "/session/0/relocate?facility=99999").unwrap();
-    assert_eq!(unknown.status, 422, "unknown facility is a client error, not a 500");
+    let before = request(addr, "GET", "/session/0").unwrap().body;
+    for id in ["99999", "4294967296"] {
+        let unknown = request(addr, "POST", &format!("/session/0/relocate?facility={id}")).unwrap();
+        assert_eq!(unknown.status, 422, "unknown facility {id} is a client error, not a 500");
+    }
+    // 2^32 must not wrap onto facility 0 and move it.
+    assert_eq!(request(addr, "GET", "/session/0").unwrap().body, before, "nothing committed");
     assert_eq!(request(addr, "POST", "/session/0/relocate").unwrap().status, 400);
     assert_eq!(request(addr, "POST", "/session/0/placement?m=3").unwrap().status, 405);
     assert_eq!(request(addr, "GET", "/session/0/relocate?facility=0").unwrap().status, 405);

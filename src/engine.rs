@@ -360,15 +360,9 @@ impl<M: InfluenceMeasure> ExplorationEngine<M> {
 fn input_bbox(snap: &ArrangementSnapshot) -> Rect {
     let fallback = Rect::new(0.0, 1.0, 0.0, 1.0);
     match snap.arrangement() {
-        ArrangementRef::Square(arr) => arr.bbox().map_or(fallback, |bb| {
-            let corners = [
-                arr.space.to_original(Point::new(bb.x_lo, bb.y_lo)),
-                arr.space.to_original(Point::new(bb.x_lo, bb.y_hi)),
-                arr.space.to_original(Point::new(bb.x_hi, bb.y_lo)),
-                arr.space.to_original(Point::new(bb.x_hi, bb.y_hi)),
-            ];
-            Rect::bounding(&corners).expect("four corners")
-        }),
+        ArrangementRef::Square(arr) => {
+            arr.bbox().map_or(fallback, |bb| arr.space.rect_to_original(bb))
+        }
         ArrangementRef::Disk(arr) => arr.bbox().unwrap_or(fallback),
     }
 }

@@ -209,22 +209,16 @@ impl HeatMapBuilder {
         self,
         measure: M,
     ) -> Result<ExplorationEngine<M>, BuildError> {
+        let snapshot = ArrangementSnapshot::build_k(
+            self.clients,
+            self.facilities,
+            self.metric,
+            self.mode,
+            self.k,
+        )?;
         let snapshot = match self.shards {
-            Some(n) => ArrangementSnapshot::build_k_sharded(
-                self.clients,
-                self.facilities,
-                self.metric,
-                self.mode,
-                self.k,
-                n,
-            )?,
-            None => ArrangementSnapshot::build_k(
-                self.clients,
-                self.facilities,
-                self.metric,
-                self.mode,
-                self.k,
-            )?,
+            Some(n) => snapshot.with_shards(n),
+            None => snapshot,
         };
         Ok(ExplorationEngine::assemble(
             snapshot,

@@ -65,8 +65,8 @@ pub mod prelude {
     pub use crate::engine::{ExplorationEngine, RegistryStats, Session, TileFrame, ViewportFrame};
     pub use rnnhm_core::arrangement::{
         build_disk_arrangement, build_disk_arrangement_k, build_square_arrangement,
-        build_square_arrangement_k, knn_assignments, nn_assignments, CoordSpace, DiskArrangement,
-        Mode, SquareArrangement,
+        build_square_arrangement_k, knn_assignments, CoordSpace, DiskArrangement, Mode,
+        SquareArrangement,
     };
     pub use rnnhm_core::baseline::baseline_sweep;
     pub use rnnhm_core::crest::{crest_a_sweep, crest_sweep};

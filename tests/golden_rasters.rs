@@ -17,9 +17,11 @@
 //! cargo test --test golden_rasters -- --ignored --nocapture
 //! ```
 //!
-//! and replace the `GOLDEN` constant below with the printed rows —
-//! after convincing yourself the change is meant to alter pixels
-//! (compare against the per-pixel oracle first).
+//! and replace the tables below with the printed rows — after
+//! convincing yourself the change is meant to alter pixels (compare
+//! against the per-pixel oracle first). `GOLDEN_BUILD` pins the
+//! NN-circle build itself (static builders, engine roots unsharded and
+//! sharded, and an edit's re-resolved circles) before any rendering.
 
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::HeatMapBuilder;
@@ -267,6 +269,122 @@ fn golden_placements_are_stable() {
     assert_eq!(GOLDEN_PLACEMENT.len(), 2 * PLACEMENT_MEASURES.len() * Metric::ALL.len());
 }
 
+/// The build goldens' instance: [`instance`] plus a client on
+/// facility 0, one on facility 1 and a second copy of client 3, so the
+/// zero-radius drop (bichromatic and monochromatic, k = 1) and a
+/// dropped client regaining its circle after an edit are pinned too.
+fn build_instance() -> (Vec<Point>, Vec<Point>) {
+    let (mut clients, facilities) = instance();
+    clients.extend([facilities[0], facilities[1], clients[3]]);
+    (clients, facilities)
+}
+
+fn mode_name(m: Mode) -> &'static str {
+    match m {
+        Mode::Bichromatic => "bi",
+        Mode::Monochromatic => "mono",
+    }
+}
+
+fn contiguous_fingerprint(arr: ArrangementRef<'_>) -> u64 {
+    match arr {
+        ArrangementRef::Square(a) => a.fingerprint(),
+        ArrangementRef::Disk(a) => a.fingerprint(),
+    }
+}
+
+/// The NN-circle build of one (mode, metric, k), as fingerprints:
+/// 1. the static builder's arrangement;
+/// 2. the engine's root snapshot, unsharded;
+/// 3. and 4. the same on 2 and 7 shards;
+/// 5. bichromatic only (else 0): the contiguous arrangement after
+///    `remove_facility(0)`, which re-resolves the affected clients from
+///    their candidate lists, so it pins those lists as well.
+fn build_fingerprints(mode: Mode, metric: Metric, k: usize) -> [u64; 5] {
+    let (clients, facilities) = build_instance();
+    let static_fp = match metric {
+        Metric::L2 => {
+            build_disk_arrangement_k(&clients, &facilities, mode, k).unwrap().fingerprint()
+        }
+        m => build_square_arrangement_k(&clients, &facilities, m, mode, k).unwrap().fingerprint(),
+    };
+    let builder = || {
+        match mode {
+            Mode::Bichromatic => HeatMapBuilder::bichromatic(clients.clone(), facilities.clone()),
+            Mode::Monochromatic => HeatMapBuilder::monochromatic(clients.clone()),
+        }
+        .metric(metric)
+        .k(k)
+    };
+    let root =
+        |b: HeatMapBuilder| b.build_engine(CountMeasure).unwrap().session().snapshot().clone();
+    let snaps = [root(builder()), root(builder().shards(2)), root(builder().shards(7))];
+    let edited = match mode {
+        Mode::Monochromatic => 0,
+        Mode::Bichromatic => {
+            let after: Vec<u64> = snaps
+                .iter()
+                .map(|s| contiguous_fingerprint(s.remove_facility(0).unwrap().0.arrangement()))
+                .collect();
+            assert!(after.iter().all(|&fp| fp == after[0]), "sharding changed an edit's circles");
+            after[0]
+        }
+    };
+    [static_fp, snaps[0].fingerprint(), snaps[1].fingerprint(), snaps[2].fingerprint(), edited]
+}
+
+/// The RkNN depths of the build goldens.
+const BUILD_KS: [usize; 3] = [1, 2, 5];
+
+/// Golden NN-circle builds: (mode, metric, k, [static, root, root on
+/// 2 shards, root on 7 shards, contiguous after removing facility 0]);
+/// see [`build_fingerprints`]. Regenerated with the other tables.
+#[rustfmt::skip]
+const GOLDEN_BUILD: &[(&str, &str, usize, [u64; 5])] = &[
+    ("bi", "L1", 1, [0x8ac64e70d8cb391a, 0xeb846c563b3f9234, 0x1a158de3440ae46b, 0x609fe66a35e3d38b, 0x60a5c1fb93536e08]),
+    ("bi", "L1", 2, [0x8ab565eb6aea17c8, 0x75628485919c358e, 0xc65d39defbd72eb6, 0x182b648967e31116, 0x9ea1b2d243feddc7]),
+    ("bi", "L1", 5, [0xbdf4b141a63db094, 0xcd08d07a0f9bb98e, 0x763fd93a93de4ff1, 0x70cb47b62ee8141a, 0xf64c9f246227bf9d]),
+    ("bi", "L2", 1, [0xfa31a74bda2bc269, 0x274d1365b0f56483, 0x5bc866fd770b7f47, 0x767ba635b938a2f4, 0x54c9de71a5280821]),
+    ("bi", "L2", 2, [0xf24022b4a1a77a68, 0x55fe068199d8a372, 0x6e32e6fc5449062f, 0xc4f5f9abd13128c1, 0xe945916e1750f504]),
+    ("bi", "L2", 5, [0x2594496c46f23d41, 0xae5f3e602f26072e, 0xa3247dfd8a01cfa4, 0x62867bbd6178ea50, 0x88f689494a9fe3ca]),
+    ("bi", "Linf", 1, [0x22df791d648c4f95, 0xe1860ef2868630d7, 0x6e8f2a12dc5d9c87, 0x891a2c5704a2a5e4, 0x92dea467b1bcc17f]),
+    ("bi", "Linf", 2, [0x4e1d2fc9939929a8, 0x059890b88b80a428, 0x2baf5fe9ae527018, 0x6900ca4ba7c5ac3a, 0x5009eb49d76e86b5]),
+    ("bi", "Linf", 5, [0xb0d2f64bdbcfcc40, 0x5c7a432f807793b1, 0x7323065157b2021a, 0xcfc0a6435fff566d, 0xd79fc04dbdb4bbbb]),
+    ("mono", "L1", 1, [0xf34ce5c8ccbed12d, 0xc4d81d722c6889ae, 0x51e431d37ad984f7, 0xada997e98e8c6b98, 0x0000000000000000]),
+    ("mono", "L1", 2, [0xb1297dd41a27196b, 0xec672094d0b11bc8, 0xb1d41fd3063a4063, 0x6a434e70ef9d8a70, 0x0000000000000000]),
+    ("mono", "L1", 5, [0x5ef4615a43eaa470, 0x9d9f872792c5d3b0, 0x2cefb74f9503b058, 0x74c1a28404855bb6, 0x0000000000000000]),
+    ("mono", "L2", 1, [0xe7f27e09feb7c9b7, 0x4b53c3515fd068f9, 0xf8bef011531618a2, 0x166021f0f349f931, 0x0000000000000000]),
+    ("mono", "L2", 2, [0xe865816c4a4d7f0f, 0x0f3b7731d85b0167, 0xd55c3464425cafe2, 0x63f62ac43b60adf2, 0x0000000000000000]),
+    ("mono", "L2", 5, [0x6d73b54be03c1b84, 0x11e7822bcc1ff511, 0x16a4aafdb5d34e5d, 0x67cf5eb308829c79, 0x0000000000000000]),
+    ("mono", "Linf", 1, [0xeb4c4520b0d61b88, 0x87e23997337b5d9d, 0xaacbfb9b3b2cc206, 0x2ab84d755e08bca2, 0x0000000000000000]),
+    ("mono", "Linf", 2, [0x8f0e58155bd7b707, 0xf580597bcee88a22, 0x764173495e7d82b9, 0x7a7b1a2636e439c5, 0x0000000000000000]),
+    ("mono", "Linf", 5, [0xa3e9850fbf3ccfda, 0xa5f2c5d3dea2e49e, 0x6f5c6bc035d25d6f, 0x329a81c8582f8820, 0x0000000000000000]),
+];
+
+#[test]
+fn golden_builds_are_stable() {
+    for mode in [Mode::Bichromatic, Mode::Monochromatic] {
+        for metric in Metric::ALL {
+            for k in BUILD_KS {
+                let got = build_fingerprints(mode, metric, k);
+                let (mn, name) = (mode_name(mode), metric_name(metric));
+                let expect = GOLDEN_BUILD
+                    .iter()
+                    .find(|(gm, gn, gk, _)| *gm == mn && *gn == name && *gk == k)
+                    .unwrap_or_else(|| panic!("no golden build for {mn}/{name}/k={k}"))
+                    .3;
+                assert_eq!(
+                    got, expect,
+                    "golden build changed for {mn}/{name}/k={k}: got {got:x?}. If this is an \
+                     intentional output change, regenerate with `cargo test --test golden_rasters \
+                     -- --ignored --nocapture` (see module docs)."
+                );
+            }
+        }
+    }
+    assert_eq!(GOLDEN_BUILD.len(), 2 * Metric::ALL.len() * BUILD_KS.len());
+}
+
 #[test]
 fn k_goldens_differ_from_k1() {
     // Sanity on the new table: the RkNN circles genuinely change the
@@ -306,6 +424,23 @@ fn regen_golden_hashes() {
             for metric in Metric::ALL {
                 let hash = placement_hash(measure, metric, k);
                 println!("    ({k}, \"{measure}\", \"{}\", {hash:#018x}),", metric_name(metric));
+            }
+        }
+    }
+    println!("--- GOLDEN_BUILD ---");
+    for mode in [Mode::Bichromatic, Mode::Monochromatic] {
+        for metric in Metric::ALL {
+            for k in BUILD_KS {
+                let fps: Vec<String> = build_fingerprints(mode, metric, k)
+                    .iter()
+                    .map(|f| format!("{f:#018x}"))
+                    .collect();
+                println!(
+                    "    (\"{}\", \"{}\", {k}, [{}]),",
+                    mode_name(mode),
+                    metric_name(metric),
+                    fps.join(", ")
+                );
             }
         }
     }

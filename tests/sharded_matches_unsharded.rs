@@ -17,18 +17,11 @@ fn pseudo_points(n: usize, seed: u64, span: f64) -> Vec<Point> {
 fn build_snapshot(metric: Metric, k: usize, shards: Option<usize>) -> ArrangementSnapshot {
     let clients = pseudo_points(300, 41, 10.0);
     let facilities = pseudo_points(40, 43, 10.0);
+    let snap = ArrangementSnapshot::build_k(clients, facilities, metric, Mode::Bichromatic, k)
+        .expect("valid instance");
     match shards {
-        Some(n) => ArrangementSnapshot::build_k_sharded(
-            clients,
-            facilities,
-            metric,
-            Mode::Bichromatic,
-            k,
-            n,
-        )
-        .expect("valid instance"),
-        None => ArrangementSnapshot::build_k(clients, facilities, metric, Mode::Bichromatic, k)
-            .expect("valid instance"),
+        Some(n) => snap.with_shards(n),
+        None => snap,
     }
 }
 
@@ -193,15 +186,15 @@ fn monochromatic_and_l1_sharded_builds_match() {
     )
     .expect("valid instance");
     for n_shards in SHARD_COUNTS {
-        let sharded = ArrangementSnapshot::build_k_sharded(
+        let sharded = ArrangementSnapshot::build_k(
             points.clone(),
             Vec::new(),
             Metric::L1,
             Mode::Monochromatic,
             2,
-            n_shards,
         )
-        .expect("valid instance");
+        .expect("valid instance")
+        .with_shards(n_shards);
         for w in [Rect::new(0.0, 6.0, 0.0, 6.0), Rect::new(2.0, 3.0, 2.5, 4.0)] {
             assert_eq!(
                 restricted_signature(&plain.restrict_to(w)),
