@@ -1,5 +1,5 @@
-//! Ablation benches (beyond the paper's figures; DESIGN.md experiment
-//! index, row "ablation"):
+//! Ablation benches, beyond the paper's figures; each compares two
+//! variants of one design choice:
 //!
 //! * changed-interval + base-set caching gain: CREST vs CREST-A on the
 //!   same arrangements (isolates §V-C against §V-B alone),

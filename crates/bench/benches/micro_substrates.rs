@@ -1,14 +1,12 @@
-//! Microbenchmarks for the index substrates (DESIGN.md, ablation row):
+//! Microbenchmarks for the index substrates, each against the linear
+//! scan it replaces:
 //!
-//! * B+-tree vs `std::collections::BTreeSet` on the sweep's workload
-//!   shape (insert once, range-scan, delete once),
 //! * kd-tree NN queries vs linear scan,
 //! * R-tree stabbing vs linear scan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rnnhm_geom::{Metric, Point, Rect};
-use rnnhm_index::{BPlusTree, KdTree, RTree};
-use std::collections::BTreeSet;
+use rnnhm_index::{KdTree, RTree};
 use std::hint::black_box;
 
 fn pseudo(n: usize, seed: u64) -> Vec<u64> {
@@ -31,57 +29,6 @@ fn pseudo_points(n: usize, seed: u64) -> Vec<Point> {
             )
         })
         .collect()
-}
-
-fn bptree_vs_btreeset(c: &mut Criterion) {
-    let mut group = c.benchmark_group("micro_bptree");
-    for n in [1_000usize, 10_000] {
-        let keys = pseudo(n, 1);
-        group.bench_with_input(BenchmarkId::new("bptree", n), &keys, |b, keys| {
-            b.iter(|| {
-                let mut t = BPlusTree::new();
-                for &k in keys {
-                    t.insert(k);
-                }
-                // Sweep-shaped scan: lower_bound + short forward walks.
-                let mut acc = 0u64;
-                for &k in keys.iter().step_by(16) {
-                    if let Some(mut cur) = t.lower_bound(&k) {
-                        for _ in 0..8 {
-                            acc = acc.wrapping_add(t.key(cur));
-                            match t.next(cur) {
-                                Some(nc) => cur = nc,
-                                None => break,
-                            }
-                        }
-                    }
-                }
-                for &k in keys {
-                    t.remove(&k);
-                }
-                black_box(acc)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("btreeset", n), &keys, |b, keys| {
-            b.iter(|| {
-                let mut t = BTreeSet::new();
-                for &k in keys {
-                    t.insert(k);
-                }
-                let mut acc = 0u64;
-                for &k in keys.iter().step_by(16) {
-                    for v in t.range(k..).take(8) {
-                        acc = acc.wrapping_add(*v);
-                    }
-                }
-                for &k in keys {
-                    t.remove(&k);
-                }
-                black_box(acc)
-            })
-        });
-    }
-    group.finish();
 }
 
 fn kdtree_nn(c: &mut Criterion) {
@@ -145,5 +92,5 @@ fn rtree_stab(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bptree_vs_btreeset, kdtree_nn, rtree_stab);
+criterion_group!(benches, kdtree_nn, rtree_stab);
 criterion_main!(benches);

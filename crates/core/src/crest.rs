@@ -25,11 +25,19 @@
 //! RNN set of the region between `s` and its successor at the current
 //! sweep position* — for sides that are the last of a run of equal
 //! y-values, which are the only ones ever consulted.
+//!
+//! The line status `T` is a [`BTreeSet`]. Algorithm 1 asks of `T` only
+//! a balanced search tree with ordered walks ("e.g., a B+-tree"):
+//! O(log n) insert and remove, an O(log n) search for the first side ≥
+//! a probe followed by amortized O(1) steps in order, and the side just
+//! below the probe, which `range(..probe).next_back()` finds in one more
+//! O(log n) descent per changed interval, so CREST's bound is unchanged.
+
+use std::collections::BTreeSet;
 
 use rnnhm_geom::eps::OrderedF64;
 use rnnhm_geom::Rect;
 use rnnhm_index::interval::{merge_intervals, Interval};
-use rnnhm_index::BPlusTree;
 
 use crate::arrangement::SquareArrangement;
 use crate::measure::InfluenceMeasure;
@@ -100,12 +108,11 @@ pub fn crest_sweep<M: InfluenceMeasure, S: RegionSink>(
 ) -> SweepStats {
     let events = build_events(arr);
     let n_sides = arr.squares.len() * 2;
-    let mut t: BPlusTree<SideKey> = BPlusTree::new();
+    let mut t: BTreeSet<SideKey> = BTreeSet::new();
     let mut records: Vec<Option<Vec<u32>>> = vec![None; n_sides];
     let mut base = RnnSet::new(arr.n_clients);
     let mut stats = SweepStats::default();
     let mut intervals: Vec<Interval> = Vec::new();
-    let mut keys_scratch: Vec<SideKey> = Vec::new();
 
     let mut i = 0;
     while i < events.len() {
@@ -149,7 +156,6 @@ pub fn crest_sweep<M: InfluenceMeasure, S: RegionSink>(
                 x,
                 x_next,
                 &mut stats,
-                &mut keys_scratch,
             );
         }
     }
@@ -162,7 +168,7 @@ pub fn crest_sweep<M: InfluenceMeasure, S: RegionSink>(
 #[allow(clippy::too_many_arguments)]
 fn process_interval<M: InfluenceMeasure, S: RegionSink>(
     arr: &SquareArrangement,
-    t: &BPlusTree<SideKey>,
+    t: &BTreeSet<SideKey>,
     iv: &Interval,
     records: &mut [Option<Vec<u32>>],
     base: &mut RnnSet,
@@ -171,37 +177,23 @@ fn process_interval<M: InfluenceMeasure, S: RegionSink>(
     x: f64,
     x_next: f64,
     stats: &mut SweepStats,
-    keys: &mut Vec<SideKey>,
 ) {
     // Starting element: the first side with y ≥ iv.lo. The probe key is
     // minimal among keys with y == iv.lo, so a run of equal values is
     // entered at its first element (paper §VI-A: "checking backward until
-    // the elements are less than y_i").
+    // the elements are less than y_i"). The walk to the first side above
+    // iv.hi is what the paper calls finding the starting and ending
+    // elements plus the scan between them.
     let probe = SideKey { y: OrderedF64::new(iv.lo), id: 0, upper: false };
-    let Some(st) = t.lower_bound(&probe) else { return };
-    if t.key(st).y.0 > iv.hi {
+    let mut walk = t.range(probe..).take_while(|k| k.y.0 <= iv.hi).peekable();
+    if walk.peek().is_none() {
         return; // no line elements inside the interval (pure removal)
-    }
-
-    // Collect the elements in [iv.lo, iv.hi]; the collection is what the
-    // paper calls finding the starting and ending elements plus the scan
-    // between them.
-    keys.clear();
-    let mut cur = Some(st);
-    while let Some(c) = cur {
-        let k = t.key(c);
-        if k.y.0 > iv.hi {
-            break;
-        }
-        keys.push(k);
-        cur = t.next(c);
     }
 
     // Base set: the cached RNN set of the element immediately preceding
     // the interval (§V-C2), or ∅ at the bottom of the line status.
-    match t.prev(st) {
-        Some(p) => {
-            let pk = t.key(p);
+    match t.range(..probe).next_back() {
+        Some(pk) => {
             let rec = records[pk.record_slot()]
                 .as_ref()
                 .expect("invariant: predecessor of a changed interval has a record");
@@ -211,8 +203,7 @@ fn process_interval<M: InfluenceMeasure, S: RegionSink>(
     }
 
     // Walk the interval, maintaining the running set (Corollary 1).
-    for j in 0..keys.len() {
-        let k = keys[j];
+    while let Some(&k) = walk.next() {
         let owner = arr.owners[k.id as usize];
         if k.upper {
             let removed = base.remove(owner);
@@ -222,8 +213,7 @@ fn process_interval<M: InfluenceMeasure, S: RegionSink>(
             debug_assert!(added, "entering a circle twice");
         }
         records[k.record_slot()] = Some(base.snapshot());
-        if j + 1 < keys.len() {
-            let nk = keys[j + 1];
+        if let Some(nk) = walk.peek() {
             if k.y < nk.y {
                 // A valid pair entirely inside the interval: label it.
                 let members = base.members();
@@ -250,7 +240,7 @@ pub fn crest_a_sweep<M: InfluenceMeasure, S: RegionSink>(
     sink: &mut S,
 ) -> SweepStats {
     let events = build_events(arr);
-    let mut t: BPlusTree<SideKey> = BPlusTree::new();
+    let mut t: BTreeSet<SideKey> = BTreeSet::new();
     let mut base = RnnSet::new(arr.n_clients);
     let mut stats = SweepStats::default();
 
@@ -280,18 +270,15 @@ pub fn crest_a_sweep<M: InfluenceMeasure, S: RegionSink>(
 
         // Single traversal of the whole line status (Corollary 1).
         base.clear();
-        let mut cur = t.first();
-        while let Some(c) = cur {
-            let k = t.key(c);
+        let mut walk = t.iter().peekable();
+        while let Some(k) = walk.next() {
             let owner = arr.owners[k.id as usize];
             if k.upper {
                 base.remove(owner);
             } else {
                 base.add(owner);
             }
-            let next = t.next(c);
-            if let Some(nc) = next {
-                let nk = t.key(nc);
+            if let Some(nk) = walk.peek() {
                 if k.y < nk.y {
                     let members = base.members();
                     let influence = measure.influence(members);
@@ -300,7 +287,6 @@ pub fn crest_a_sweep<M: InfluenceMeasure, S: RegionSink>(
                     sink.label(Rect::new(x, x_next, k.y.0, nk.y.0), members, influence);
                 }
             }
-            cur = next;
         }
         debug_assert!(base.is_empty(), "every entered circle must be left");
     }

@@ -147,23 +147,6 @@ pub trait IncrementalMeasure: InfluenceMeasure {
         let _ = id;
         None
     }
-
-    /// *Delta hook*: a running state describing the membership `rnn`
-    /// (each member added once, in slice order).
-    ///
-    /// This is the bridge from a materialized RNN set — e.g. a labeled
-    /// region surviving a what-if edit — back into incremental
-    /// maintenance: build the state once, then replay the edit's
-    /// membership delta with [`IncrementalMeasure::add`] /
-    /// [`IncrementalMeasure::remove`] instead of re-evaluating the
-    /// measure from scratch per change.
-    fn state_for(&self, rnn: &[u32]) -> Self::State {
-        let mut state = self.new_state();
-        for &id in rnn {
-            self.add(&mut state, id);
-        }
-        state
-    }
 }
 
 /// Adapts *any* [`InfluenceMeasure`] to [`IncrementalMeasure`] by keeping
@@ -775,7 +758,9 @@ mod tests {
         let edges: Vec<(u32, u32)> = (0..20u32).map(|a| (a, (a + 3) % 20)).collect();
         let m = ConnectivityMeasure::from_edges(20, &edges);
         let members = [3u32, 7, 10, 6, 1];
-        let mut state = m.state_for(&members);
+        // The state of `members`, each added once in slice order.
+        let mut state = m.new_state();
+        members.iter().for_each(|&id| m.add(&mut state, id));
         assert_eq!(m.current(&state), m.influence(&members));
         // Replay a delta on the rebuilt state.
         m.remove(&mut state, 7);
@@ -784,7 +769,8 @@ mod tests {
         assert_eq!(m.current(&state), m.influence(&now));
         // Weighted: rebuilt state matches the incremental contract.
         let w = WeightedMeasure::new((0..20).map(|i| i as f64 * 0.5).collect());
-        let state = w.state_for(&members);
+        let mut state = w.new_state();
+        members.iter().for_each(|&id| w.add(&mut state, id));
         assert_eq!(w.current(&state).to_bits(), w.influence(&members).to_bits());
     }
 

@@ -7,7 +7,6 @@
 //! ([`crate::sink::TopKSink`], [`crate::sink::ThresholdSink`]); this
 //! module offers the batch equivalents over collected regions.
 
-use crate::oracle::signature;
 use crate::sink::{LabeledRegion, RegionSink, TopKSink};
 
 /// The `k` most influential regions, deduplicated by RNN-set signature,
@@ -25,15 +24,6 @@ pub fn top_k(regions: &[LabeledRegion], k: usize) -> Vec<LabeledRegion> {
 /// Regions with influence at or above `min_influence`, in input order.
 pub fn threshold(regions: &[LabeledRegion], min_influence: f64) -> Vec<LabeledRegion> {
     regions.iter().filter(|r| r.influence >= min_influence).cloned().collect()
-}
-
-/// Distinct RNN-set signatures among the regions (the number of distinct
-/// influence classes in the arrangement).
-pub fn distinct_signatures(regions: &[LabeledRegion]) -> usize {
-    let mut sigs: Vec<Vec<u32>> = regions.iter().map(|r| signature(&r.rnn)).collect();
-    sigs.sort();
-    sigs.dedup();
-    sigs.len()
 }
 
 #[cfg(test)]
@@ -66,12 +56,5 @@ mod tests {
         let regions = vec![region(&[1], 1.0), region(&[2], 2.0), region(&[3], 3.0)];
         let kept = threshold(&regions, 2.0);
         assert_eq!(kept.len(), 2);
-    }
-
-    #[test]
-    fn distinct_signature_count() {
-        let regions =
-            vec![region(&[1], 1.0), region(&[1], 1.0), region(&[2], 1.0), region(&[], 0.0)];
-        assert_eq!(distinct_signatures(&regions), 3);
     }
 }

@@ -443,21 +443,6 @@ impl RegionSink for MaterializeSink {
     }
 }
 
-/// Forwards every label to two sinks (e.g. collect + top-k in one sweep).
-pub struct TeeSink<'a, A: RegionSink, B: RegionSink> {
-    /// First target.
-    pub a: &'a mut A,
-    /// Second target.
-    pub b: &'a mut B,
-}
-
-impl<A: RegionSink, B: RegionSink> RegionSink for TeeSink<'_, A, B> {
-    fn label(&mut self, rect: Rect, rnn: &[u32], influence: f64) {
-        self.a.label(rect, rnn, influence);
-        self.b.label(rect, rnn, influence);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,18 +603,5 @@ mod tests {
         s.label(r(2.0), &[3], 7.0);
         assert_eq!(s.regions.len(), 2);
         assert!(s.regions.iter().all(|x| x.influence >= 2.0));
-    }
-
-    #[test]
-    fn tee_forwards_to_both() {
-        let mut collect = CollectSink::default();
-        let mut max = MaxSink::default();
-        {
-            let mut tee = TeeSink { a: &mut collect, b: &mut max };
-            tee.label(r(0.0), &[1], 1.0);
-            tee.label(r(1.0), &[2], 9.0);
-        }
-        assert_eq!(collect.regions.len(), 2);
-        assert_eq!(max.best.unwrap().influence, 9.0);
     }
 }

@@ -54,7 +54,7 @@ use crate::arrangement::{
     SquareArrangement,
 };
 use crate::edit::{ArrangementRef, CircleChange, EditError, EditOutcome, Shape};
-use crate::parallel::effective_parallelism;
+use crate::parallel::{chunk_ranges, effective_parallelism};
 use crate::shard::ShardMap;
 use crate::BuildError;
 
@@ -370,27 +370,42 @@ impl ArrangementSnapshot {
     }
 
     /// Attaches a [`ShardMap`] of `n_shards` vertical slabs to this
-    /// snapshot, computing every shard's summary (in parallel when the
-    /// machine allows) and composing the per-shard fingerprints into
-    /// the snapshot fingerprint. Intended to be called once, on a
-    /// freshly built snapshot; edits then maintain the map
-    /// incrementally.
-    pub fn with_shards(mut self, n_shards: usize) -> ArrangementSnapshot {
+    /// snapshot, computing every shard's summary and composing the
+    /// per-shard fingerprints into the snapshot fingerprint. The
+    /// summaries run in contiguous shard bands, one thread per core
+    /// (inline on one core), so `n_shards` never sets the thread count.
+    /// Intended to be called once, on a freshly built snapshot; edits
+    /// then maintain the map incrementally.
+    pub fn with_shards(self, n_shards: usize) -> ArrangementSnapshot {
+        self.with_shards_banded(n_shards, effective_parallelism())
+    }
+
+    /// [`ArrangementSnapshot::with_shards`] over `bands` contiguous
+    /// shard bands, one thread each (inline for one band). Only the
+    /// scheduling depends on `bands`: each shard's summary reads only
+    /// its own members.
+    fn with_shards_banded(mut self, n_shards: usize, bands: usize) -> ArrangementSnapshot {
         let xs: Vec<f64> = (0..self.clients.len()).map(|o| self.shard_x(o)).collect();
         let mut map = ShardMap::partition(&xs, n_shards);
         let summaries: Vec<(Option<Rect>, u64)> = {
-            let snap = &self;
-            let shard_lists: Vec<&[u32]> = (0..map.n_shards()).map(|s| map.members(s)).collect();
-            if effective_parallelism() > 1 && map.n_shards() > 1 {
-                thread::scope(|scope| {
-                    let handles: Vec<_> = shard_lists
-                        .into_iter()
-                        .map(|members| scope.spawn(move || snap.shard_summary(members)))
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("shard summary worker")).collect()
-                })
+            let (snap, map) = (&self, &map);
+            let summarize = move |shards: std::ops::Range<usize>| -> Vec<(Option<Rect>, u64)> {
+                shards.map(|s| snap.shard_summary(map.members(s))).collect()
+            };
+            let bands = chunk_ranges(map.n_shards(), bands);
+            if bands.len() <= 1 {
+                summarize(0..map.n_shards())
             } else {
-                shard_lists.into_iter().map(|members| snap.shard_summary(members)).collect()
+                thread::scope(|scope| {
+                    let handles: Vec<_> = bands
+                        .into_iter()
+                        .map(|band| scope.spawn(move || summarize(band)))
+                        .collect();
+                    handles
+                        .into_iter()
+                        .flat_map(|h| h.join().expect("shard summary worker"))
+                        .collect()
+                })
             }
         };
         for (s, (bbox, fp)) in summaries.into_iter().enumerate() {
@@ -1152,6 +1167,35 @@ mod tests {
                     assert_eq!(sub.fingerprint(), expect.fingerprint());
                 }
                 _ => panic!("restriction kind must match the metric"),
+            }
+        }
+    }
+
+    #[test]
+    fn shard_summaries_are_the_same_at_every_band_count() {
+        let mut clients = pseudo_points(400, 17, 10.0);
+        let facs = pseudo_points(9, 19, 10.0);
+        // A client on a facility has no circle, so its shard skips it.
+        clients.push(facs[4]);
+        for metric in Metric::ALL {
+            let build = || {
+                ArrangementSnapshot::build(clients.clone(), facs.clone(), metric, Mode::Bichromatic)
+                    .unwrap()
+            };
+            let summaries = |s: &ArrangementSnapshot| {
+                let map = s.shards().expect("sharded");
+                let bits: Vec<Option<[u64; 4]>> = (0..map.n_shards())
+                    .map(|i| {
+                        map.bbox(i).map(|b| [b.x_lo, b.x_hi, b.y_lo, b.y_hi].map(f64::to_bits))
+                    })
+                    .collect();
+                (bits, map.fingerprints().to_vec(), s.fingerprint())
+            };
+            let one = build().with_shards_banded(7, 1);
+            assert_eq!(one.shards().unwrap().n_shards(), 7);
+            for bands in [2usize, 8] {
+                let banded = build().with_shards_banded(7, bands);
+                assert_eq!(summaries(&banded), summaries(&one), "{metric:?} at {bands} bands");
             }
         }
     }

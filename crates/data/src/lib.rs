@@ -14,7 +14,7 @@
 //! that reproduces the properties the experiments depend on — multi-scale
 //! clustering along street grids, uniform background noise, and empty
 //! void areas (water/mountains) — at the same cardinalities and
-//! geographic extents (see DESIGN.md, substitution 1).
+//! geographic extents as the paper's Table II.
 //!
 //! All generators are deterministic functions of their seed.
 

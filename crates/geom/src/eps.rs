@@ -2,8 +2,9 @@
 //!
 //! The paper works in real arithmetic and ignores degeneracies; this
 //! reproduction uses `f64` with a small set of centralised helpers so that
-//! every approximate comparison in the workspace shares one policy
-//! (see DESIGN.md, "Robustness policy").
+//! every approximate comparison in the workspace shares one policy: one
+//! absolute tolerance ([`EPS`]), because workload coordinates live in
+//! unit-scale boxes, and a NaN-panicking total order for sorting.
 
 /// Default absolute tolerance used by approximate comparisons.
 ///
@@ -42,7 +43,7 @@ pub fn cmp_f64(a: f64, b: f64) -> std::cmp::Ordering {
 }
 
 /// Wrapper giving finite `f64` keys `Ord` + `Eq`, for use in ordered
-/// containers (event queues, B+-tree keys).
+/// containers (event queues, line-status keys).
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct OrderedF64(pub f64);
 

@@ -14,8 +14,8 @@
 //!   with intersection and arc-evaluation routines used by the L2 sweep,
 //! * [`transform`] — the π/4 rotation that reduces L1 to L∞ (paper §VII-B).
 //!
-//! All coordinates are `f64`; the robustness policy (documented in
-//! DESIGN.md) is centralised in the [`eps`] module.
+//! All coordinates are `f64`; the robustness policy is stated and
+//! centralised in the [`eps`] module.
 
 #![warn(missing_docs)]
 

@@ -1,14 +1,11 @@
 //! # rnnhm-index
 //!
 //! Index substrates for the RNN heat map reproduction
-//! (Sun et al., ICDE 2016). The paper relies on three index structures,
-//! all implemented here from scratch:
+//! (Sun et al., ICDE 2016), implemented here from scratch. CREST's line
+//! status, the balanced search tree `T` of Algorithm 1, needs no
+//! structure of its own: it is a `std::collections::BTreeSet` (see
+//! `rnnhm_core::crest`).
 //!
-//! * [`bptree::BPlusTree`] — a balanced search tree whose data live in
-//!   doubly-linked leaf nodes. This is the structure `T` holding the sweep
-//!   line status in CREST (Algorithm 1, line 9: "insert … into a balanced
-//!   search tree T in which the data are stored in the doubly linked leaf
-//!   nodes (e.g., a B+-tree)").
 //! * [`kdtree::KdTree`] — a static kd-tree answering nearest-neighbor
 //!   queries under L1/L2/L∞, used to precompute the NN-circles
 //!   (the paper cites Korn & Muthukrishnan \[12\] for this step).
@@ -18,13 +15,11 @@
 //!   "other spatial indexes such as the R-tree".
 //! * [`interval`] — merging of *changed intervals* (paper §V-C1).
 
-pub mod bptree;
 pub mod interval;
 pub mod itree;
 pub mod kdtree;
 pub mod rtree;
 
-pub use bptree::{BPlusTree, Cursor};
 pub use itree::{EnclosureIndex, IntervalTree};
 pub use kdtree::KdTree;
 pub use rtree::RTree;

@@ -3,86 +3,10 @@
 
 use proptest::prelude::*;
 use rnnhm_geom::{Metric, Point, Rect};
-use rnnhm_index::{BPlusTree, EnclosureIndex, IntervalTree, KdTree, RTree};
-use std::collections::BTreeSet;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(i64),
-    Remove(i64),
-    LowerBound(i64),
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0i64..200).prop_map(Op::Insert),
-        (0i64..200).prop_map(Op::Remove),
-        (-10i64..210).prop_map(Op::LowerBound),
-    ]
-}
+use rnnhm_index::{EnclosureIndex, IntervalTree, KdTree, RTree};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn bptree_mirrors_btreeset(ops in prop::collection::vec(op_strategy(), 0..400)) {
-        let mut tree = BPlusTree::new();
-        let mut reference = BTreeSet::new();
-        for op in ops {
-            match op {
-                Op::Insert(k) => {
-                    prop_assert_eq!(tree.insert(k), reference.insert(k));
-                }
-                Op::Remove(k) => {
-                    prop_assert_eq!(tree.remove(&k), reference.remove(&k));
-                }
-                Op::LowerBound(k) => {
-                    let got = tree.lower_bound(&k).map(|c| tree.key(c));
-                    let expect = reference.range(k..).next().copied();
-                    prop_assert_eq!(got, expect);
-                }
-            }
-            prop_assert_eq!(tree.len(), reference.len());
-        }
-        let collected: Vec<i64> = tree.iter().collect();
-        let expected: Vec<i64> = reference.iter().copied().collect();
-        prop_assert_eq!(collected, expected);
-        tree.check_invariants();
-    }
-
-    #[test]
-    fn bptree_cursors_walk_both_ways(
-        keys in prop::collection::btree_set(0i64..1000, 1..200),
-        probe in 0i64..1000,
-    ) {
-        let mut tree = BPlusTree::new();
-        for &k in &keys {
-            tree.insert(k);
-        }
-        if let Some(cur) = tree.lower_bound(&probe) {
-            // Forward walk from the cursor visits exactly the suffix.
-            let mut fwd = vec![tree.key(cur)];
-            let mut c = cur;
-            while let Some(n) = tree.next(c) {
-                fwd.push(tree.key(n));
-                c = n;
-            }
-            let expect_fwd: Vec<i64> = keys.range(probe..).copied().collect();
-            prop_assert_eq!(fwd, expect_fwd);
-            // Backward walk visits exactly the strict prefix, reversed.
-            let mut bwd = Vec::new();
-            let mut c = cur;
-            while let Some(p) = tree.prev(c) {
-                bwd.push(tree.key(p));
-                c = p;
-            }
-            let mut expect_bwd: Vec<i64> = keys.range(..probe).copied().collect();
-            expect_bwd.reverse();
-            prop_assert_eq!(bwd, expect_bwd);
-        } else {
-            prop_assert!(keys.iter().all(|&k| k < probe));
-        }
-    }
 
     #[test]
     fn kdtree_nearest_matches_scan(

@@ -42,7 +42,7 @@
 //! | Crate | Contents |
 //! |-------|----------|
 //! | [`geom`] | points, rectangles, metrics, circles/arcs, rotation |
-//! | [`index`] | B+-tree line status, kd-tree NN, STR R-tree stabbing |
+//! | [`index`] | kd-tree NN, STR R-tree stabbing, interval merging |
 //! | [`core`] | arrangements, CREST / CREST-A / BA / CREST-L2 / Pruning, measures, sinks, oracle |
 //! | [`data`] | uniform / Zipfian / synthetic-city data sets, sampling |
 //! | [`heatmap`] | rasterization and PPM/PGM/ASCII rendering |

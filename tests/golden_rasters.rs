@@ -21,22 +21,30 @@
 //! convincing yourself the change is meant to alter pixels (compare
 //! against the per-pixel oracle first). `GOLDEN_BUILD` pins the
 //! NN-circle build itself (static builders, engine roots unsharded and
-//! sharded, and an edit's re-resolved circles) before any rendering.
+//! sharded, and an edit's re-resolved circles) before any rendering;
+//! `GOLDEN_SWEEP` pins CREST's and CREST-A's label streams, in
+//! emission order, with their sweep statistics.
 
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::HeatMapBuilder;
 use rnnhm_core::arrangement::fnv1a_words;
 
-/// 60 clients + 7 facilities from a fixed LCG on [0, 10]².
-fn instance() -> (Vec<Point>, Vec<Point>) {
-    let mut state = 0x5eed_cafe_u64;
+/// `n_clients` clients, then `n_facilities` facilities, from a fixed
+/// LCG seeded with `seed` on [0, 10]².
+fn lcg_instance(seed: u64, n_clients: usize, n_facilities: usize) -> (Vec<Point>, Vec<Point>) {
+    let mut state = seed;
     let mut next = move || {
         state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         ((state >> 11) as f64) / ((1u64 << 53) as f64) * 10.0
     };
-    let clients = (0..60).map(|_| Point::new(next(), next())).collect();
-    let facilities = (0..7).map(|_| Point::new(next(), next())).collect();
+    let clients = (0..n_clients).map(|_| Point::new(next(), next())).collect();
+    let facilities = (0..n_facilities).map(|_| Point::new(next(), next())).collect();
     (clients, facilities)
+}
+
+/// 60 clients + 7 facilities from a fixed LCG on [0, 10]².
+fn instance() -> (Vec<Point>, Vec<Point>) {
+    lcg_instance(0x5eed_cafe, 60, 7)
 }
 
 fn spec() -> GridSpec {
@@ -385,6 +393,102 @@ fn golden_builds_are_stable() {
     assert_eq!(GOLDEN_BUILD.len(), 2 * Metric::ALL.len() * BUILD_KS.len());
 }
 
+/// Folds every label a sweep emits into one order-sensitive FNV hash:
+/// the rectangle bits, the influence bits, and the RNN ids in the order
+/// the sweep hands them over (not sorted). Streams, so CREST-A's ~1M
+/// labels a run on the larger instance need no buffer.
+struct StreamHash(u64);
+
+impl RegionSink for StreamHash {
+    fn label(&mut self, rect: Rect, rnn: &[u32], influence: f64) {
+        let head = [
+            self.0,
+            rect.x_lo.to_bits(),
+            rect.x_hi.to_bits(),
+            rect.y_lo.to_bits(),
+            rect.y_hi.to_bits(),
+            influence.to_bits(),
+            rnn.len() as u64,
+        ];
+        self.0 = fnv1a_words(head.into_iter().chain(rnn.iter().map(|&c| c as u64)));
+    }
+}
+
+/// The instances of the sweep goldens: the shared [`instance`], and
+/// 2,000 clients + 200 facilities from another LCG seed.
+const SWEEP_INSTANCES: [&str; 2] = ["golden", "lcg2k"];
+
+/// The metrics and RkNN depths of the sweep goldens (the line-status
+/// sweeps run on squares: L∞ directly, L1 in the rotated frame).
+const SWEEP_METRICS: [Metric; 2] = [Metric::Linf, Metric::L1];
+const SWEEP_KS: [usize; 2] = [1, 2];
+
+/// One sweep's pinned output: its [`StreamHash`] and its `SweepStats`
+/// as `[labels, events, max_rnn, peak_line]`.
+type SweepBits = (u64, [u64; 4]);
+
+/// CREST's and CREST-A's label streams on one (instance, metric, k).
+/// The weights are non-dyadic, so each influence's last bit also
+/// depends on the order of the RNN ids.
+fn sweep_hashes(instance_key: &str, metric: Metric, k: usize) -> [SweepBits; 2] {
+    let (clients, facilities) = match instance_key {
+        "golden" => instance(),
+        "lcg2k" => lcg_instance(0x0005_ee9d_2000, 2_000, 200),
+        other => panic!("unknown sweep instance {other}"),
+    };
+    let weights: Vec<f64> = (0..clients.len()).map(|i| 0.5 + (i * 37 % 97) as f64 / 97.0).collect();
+    let measure = WeightedMeasure::new(weights);
+    let arr = build_square_arrangement_k(&clients, &facilities, metric, Mode::Bichromatic, k)
+        .expect("buildable instance");
+    let words = |s: SweepStats| [s.labels, s.events, s.max_rnn as u64, s.peak_line as u64];
+    let mut crest = StreamHash(0);
+    let crest_stats = crest_sweep(&arr, &measure, &mut crest);
+    let mut crest_a = StreamHash(0);
+    let crest_a_stats = crest_a_sweep(&arr, &measure, &mut crest_a);
+    [(crest.0, words(crest_stats)), (crest_a.0, words(crest_a_stats))]
+}
+
+/// Golden label streams: (instance, metric, k, [CREST, CREST-A]); see
+/// [`sweep_hashes`]. The placement and top-k goldens see only the
+/// labels that survive, but `TopKSink` breaks ties by first
+/// occurrence, so the emission order itself is pinned here.
+/// Regenerated with the other tables.
+#[rustfmt::skip]
+const GOLDEN_SWEEP: &[(&str, &str, usize, [SweepBits; 2])] = &[
+    ("golden", "Linf", 1, [(0x8106c7c1256561be, [755, 94, 20, 70]), (0x698f000fa29a875c, [2654, 94, 20, 70])]),
+    ("golden", "Linf", 2, [(0xbb612260237be7dc, [1152, 96, 39, 96]), (0x98fe84cc7357f72e, [3349, 96, 39, 96])]),
+    ("golden", "L1", 1, [(0xbf652033b6bf77d2, [982, 110, 19, 70]), (0x0e0f5a1652c996d0, [3366, 110, 19, 70])]),
+    ("golden", "L1", 2, [(0x9cb2e3a44f9419c5, [1373, 99, 35, 100]), (0x4224084db90c3861, [3956, 99, 35, 100])]),
+    ("lcg2k", "Linf", 1, [(0xb385920934a0e06b, [41885, 3181, 52, 340]), (0x471cfa06e157c70d, [649950, 3181, 52, 340])]),
+    ("lcg2k", "Linf", 2, [(0xb71aaeb0eed21e70, [88739, 3154, 80, 492]), (0x3c3ca5f2577ca6b4, [962604, 3154, 80, 492])]),
+    ("lcg2k", "L1", 1, [(0x85d16833ccd18611, [47418, 3313, 56, 358]), (0x47741aa52481405a, [700372, 3313, 56, 358])]),
+    ("lcg2k", "L1", 2, [(0xa0c6a7f325bc3d7a, [103199, 3311, 78, 528]), (0xf75ae3ccd4c60577, [1063572, 3311, 78, 528])]),
+];
+
+#[test]
+fn golden_sweeps_are_stable() {
+    for instance_key in SWEEP_INSTANCES {
+        for metric in SWEEP_METRICS {
+            for k in SWEEP_KS {
+                let got = sweep_hashes(instance_key, metric, k);
+                let name = metric_name(metric);
+                let expect = GOLDEN_SWEEP
+                    .iter()
+                    .find(|(gi, gn, gk, _)| *gi == instance_key && *gn == name && *gk == k)
+                    .unwrap_or_else(|| panic!("no golden sweep for {instance_key}/{name}/k={k}"))
+                    .3;
+                assert_eq!(
+                    got, expect,
+                    "golden sweep changed for {instance_key}/{name}/k={k}: got {got:x?}. If this \
+                     is an intentional output change, regenerate with `cargo test --test \
+                     golden_rasters -- --ignored --nocapture` (see module docs)."
+                );
+            }
+        }
+    }
+    assert_eq!(GOLDEN_SWEEP.len(), SWEEP_INSTANCES.len() * SWEEP_METRICS.len() * SWEEP_KS.len());
+}
+
 #[test]
 fn k_goldens_differ_from_k1() {
     // Sanity on the new table: the RkNN circles genuinely change the
@@ -399,7 +503,7 @@ fn k_goldens_differ_from_k1() {
     }
 }
 
-/// Prints both golden tables for regeneration (see module docs).
+/// Prints every golden table for regeneration (see module docs).
 #[test]
 #[ignore = "regeneration helper, not a check"]
 fn regen_golden_hashes() {
@@ -440,6 +544,22 @@ fn regen_golden_hashes() {
                     mode_name(mode),
                     metric_name(metric),
                     fps.join(", ")
+                );
+            }
+        }
+    }
+    println!("--- GOLDEN_SWEEP ---");
+    for instance_key in SWEEP_INSTANCES {
+        for metric in SWEEP_METRICS {
+            for k in SWEEP_KS {
+                let rows: Vec<String> = sweep_hashes(instance_key, metric, k)
+                    .iter()
+                    .map(|(h, s)| format!("({h:#018x}, {s:?})"))
+                    .collect();
+                println!(
+                    "    (\"{instance_key}\", \"{}\", {k}, [{}]),",
+                    metric_name(metric),
+                    rows.join(", ")
                 );
             }
         }
