@@ -48,10 +48,7 @@
 //! representatives are strictly interior, so for them closed and open
 //! containment coincide.
 
-use std::cell::OnceCell;
-
-use rnnhm_geom::{Circle, Point, Rect};
-use rnnhm_index::{EnclosureIndex, RTree};
+use rnnhm_geom::{Point, Rect};
 
 use crate::arrangement::CoordSpace;
 use crate::crest::crest_sweep;
@@ -179,20 +176,21 @@ pub struct GreedyOutcome {
 
 /// A placement optimizer over one immutable arrangement snapshot.
 ///
-/// The query object is cheap to create; the point-enclosure index used
-/// by candidate-point scoring is built lazily on first use and reused
-/// across [`PlacementQuery::influence_of`] /
-/// [`PlacementQuery::evaluate_insert`] calls.
+/// The query object is a pair of borrows and costs nothing to create.
+/// Candidate-point scoring ([`PlacementQuery::influence_of`],
+/// [`PlacementQuery::evaluate_insert`]) stabs the snapshot's own
+/// point-enclosure index, which the snapshot builds on its first probe
+/// and keeps for its lifetime, so every query, session and fork on one
+/// snapshot shares one index.
 pub struct PlacementQuery<'a, M: InfluenceMeasure> {
     snap: &'a ArrangementSnapshot,
     measure: &'a M,
-    stab: OnceCell<RTree>,
 }
 
 impl<'a, M: InfluenceMeasure> PlacementQuery<'a, M> {
     /// A placement query over `snap` scoring with `measure`.
     pub fn new(snap: &'a ArrangementSnapshot, measure: &'a M) -> PlacementQuery<'a, M> {
-        PlacementQuery { snap, measure, stab: OnceCell::new() }
+        PlacementQuery { snap, measure }
     }
 
     /// The snapshot this query optimizes over.
@@ -240,25 +238,16 @@ impl<'a, M: InfluenceMeasure> PlacementQuery<'a, M> {
         (rnn, influence)
     }
 
-    fn tree(&self) -> &RTree {
-        self.stab.get_or_init(|| match self.snap.arrangement() {
-            ArrangementRef::Square(a) => RTree::build(&a.squares),
-            ArrangementRef::Disk(d) => {
-                let bboxes: Vec<Rect> = d.disks.iter().map(Circle::bbox).collect();
-                RTree::build(&bboxes)
-            }
-        })
-    }
-
     fn rnn_of(&self, p: Point) -> Vec<u32> {
+        let tree = self.snap.stab_index();
         let mut hits = Vec::new();
         let mut rnn: Vec<u32> = match self.snap.arrangement() {
             ArrangementRef::Square(a) => {
-                self.tree().stab_point(a.space.to_sweep(p), &mut hits);
+                tree.stab(a.space.to_sweep(p), &mut hits);
                 hits.iter().map(|&c| a.owners[c as usize]).collect()
             }
             ArrangementRef::Disk(d) => {
-                self.tree().stab(p, &mut hits);
+                tree.stab(p, &mut hits);
                 hits.iter()
                     .filter(|&&c| d.disks[c as usize].contains_closed(p))
                     .map(|&c| d.owners[c as usize])
@@ -285,8 +274,9 @@ impl<'a, M: InfluenceMeasure> PlacementQuery<'a, M> {
     /// Where should facility `facility` move? Tentatively removes it
     /// (incremental maintenance), finds the best placement on the
     /// remaining arrangement, and scores its current location the same
-    /// way for the gain. The tentative removal snapshot is dropped
-    /// before returning — the base snapshot is untouched.
+    /// way for the gain (one stab index, built on the tentative
+    /// snapshot). The tentative removal snapshot is dropped before
+    /// returning — the base snapshot is untouched.
     pub fn best_relocation(&self, facility: u32) -> Result<Relocation, EditError> {
         let from = self.snap.facility(facility).ok_or(EditError::UnknownFacility)?;
         let (without, _outcome) = self.snap.remove_facility(facility)?;

@@ -39,7 +39,9 @@
 //! [`ArrangementSnapshot::arrangement`] (a fresh build comes with it),
 //! while the tile-serving hot path avoids materialization entirely
 //! through [`ArrangementSnapshot::restrict_to`], which filters straight
-//! off the chunked storage.
+//! off the chunked storage. Point probes (`Session::influence_at`,
+//! placement scoring) stab one R-tree over that view, also built once
+//! on demand and shared by every reader of the snapshot.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -47,7 +49,7 @@ use std::thread;
 
 use rnnhm_geom::transform::rotate45;
 use rnnhm_geom::{Circle, Metric, Point, Rect};
-use rnnhm_index::KdTree;
+use rnnhm_index::{KdTree, RTree};
 
 use crate::arrangement::{
     circle_arrangement, fnv1a_words, knn_assignments, nn_circle, CoordSpace, DiskArrangement, Mode,
@@ -287,6 +289,9 @@ pub struct ArrangementSnapshot {
     /// patched shard-locally in [`ArrangementSnapshot::seal`].
     shards: Option<ShardMap>,
     materialized: OnceLock<Arc<RestrictedArrangement>>,
+    /// The point-stab index over `materialized`'s circles, built on
+    /// the first point probe ([`ArrangementSnapshot::stab_index`]).
+    stab: OnceLock<Arc<RTree>>,
 }
 
 impl ArrangementSnapshot {
@@ -366,6 +371,7 @@ impl ArrangementSnapshot {
             generation: 0,
             shards: None,
             materialized: cell,
+            stab: OnceLock::new(),
         })
     }
 
@@ -560,6 +566,21 @@ impl ArrangementSnapshot {
         })
     }
 
+    /// The point-stab index over the contiguous view's circles, built
+    /// once on the first probe and cached for the snapshot's lifetime:
+    /// the sweep-frame squares, or the disks' bboxes. Entry ids are
+    /// shape indices into [`ArrangementSnapshot::arrangement`].
+    pub(crate) fn stab_index(&self) -> &RTree {
+        self.stab.get_or_init(|| {
+            Arc::new(match self.arrangement() {
+                ArrangementRef::Square(a) => RTree::build(&a.squares),
+                ArrangementRef::Disk(d) => {
+                    RTree::build(&d.disks.iter().map(Circle::bbox).collect::<Vec<_>>())
+                }
+            })
+        })
+    }
+
     /// The arrangement view for queries, sweeps and rasterization
     /// (materialized lazily, cached for the snapshot's lifetime).
     pub fn arrangement(&self) -> ArrangementRef<'_> {
@@ -709,7 +730,8 @@ impl ArrangementSnapshot {
     }
 
     /// A chunk-sharing working copy with an empty materialized cache
-    /// (edits change geometry, so the parent's view must not leak).
+    /// and stab index (edits change geometry, so the parent's view
+    /// must not leak).
     fn working_copy(&self) -> ArrangementSnapshot {
         ArrangementSnapshot {
             metric: self.metric,
@@ -730,19 +752,24 @@ impl ArrangementSnapshot {
             generation: self.generation,
             shards: self.shards.clone(),
             materialized: OnceLock::new(),
+            stab: OnceLock::new(),
         }
     }
 
     /// Seals a working copy: geometry-changing edits get a fresh,
     /// process-unique fingerprint; geometric no-ops keep the parent's
-    /// fingerprint *and* its materialized view (the circles are
-    /// untouched). On sharded snapshots, only the shards owning a
-    /// changed circle recompute their summary, and the per-shard
-    /// fingerprints are re-composed around the fresh salted base.
+    /// fingerprint, its materialized view *and* its stab index (the
+    /// circles are untouched). On sharded snapshots, only the shards
+    /// owning a changed circle recompute their summary, and the
+    /// per-shard fingerprints are re-composed around the fresh salted
+    /// base.
     fn seal(&self, mut next: ArrangementSnapshot, out: &EditOutcome) -> ArrangementSnapshot {
         if out.dirty.is_empty() {
             if let Some(m) = self.materialized.get() {
                 let _ = next.materialized.set(m.clone());
+            }
+            if let Some(t) = self.stab.get() {
+                let _ = next.stab.set(t.clone());
             }
         } else {
             next.generation += 1;
@@ -1142,6 +1169,67 @@ mod tests {
         assert_eq!(next.n_facilities(), 3, "the facility still joined the set");
         // The materialized view is carried over, not rebuilt.
         assert_eq!(next.square().unwrap() as *const SquareArrangement, arr_before);
+    }
+
+    #[test]
+    fn stab_index_is_lazy_shared_and_carried() {
+        use crate::measure::CountMeasure;
+        use crate::placement::PlacementQuery;
+
+        let clients = pseudo_points(300, 23, 10.0);
+        let facs = pseudo_points(8, 29, 10.0);
+        let probes = pseudo_points(40, 31, 10.0);
+        for metric in Metric::ALL {
+            let root = Arc::new(
+                ArrangementSnapshot::build(
+                    clients.clone(),
+                    facs.clone(),
+                    metric,
+                    Mode::Bichromatic,
+                )
+                .unwrap(),
+            );
+            assert!(root.stab.get().is_none(), "{metric:?}: build_k leaves the index unbuilt");
+            let probe = |s: &ArrangementSnapshot| {
+                let query = PlacementQuery::new(s, &CountMeasure);
+                for &p in &probes {
+                    query.influence_of(p);
+                }
+                Arc::as_ptr(s.stab.get().expect("a probe builds the index"))
+            };
+            let built = probe(&root);
+            assert_eq!(probe(&root), built, "{metric:?}: repeated probes reuse one index");
+            let fork = Arc::clone(&root);
+            assert_eq!(probe(&fork), built, "{metric:?}: a fork shares it");
+
+            let (noop, _, out) = root.insert_facility(Point::new(500.0, 500.0)).unwrap();
+            assert!(out.dirty.is_empty(), "{metric:?}: a far insert is a geometric no-op");
+            let carried = noop.stab.get().expect("a no-op edit carries the index");
+            assert_eq!(Arc::as_ptr(carried), built, "{metric:?}: carried, not rebuilt");
+
+            let (moved, out) = root.move_facility(0, Point::new(5.0, 5.0)).unwrap();
+            assert!(!out.dirty.is_empty(), "{metric:?}: the move changes circles");
+            assert!(moved.stab.get().is_none(), "{metric:?}: a geometry edit starts without one");
+            assert_ne!(probe(&moved), built, "{metric:?}: its first probe builds its own");
+            // The successor's index covers the successor's circles.
+            let (rects, space) = match moved.arrangement() {
+                ArrangementRef::Square(a) => (a.squares.clone(), a.space),
+                ArrangementRef::Disk(d) => {
+                    (d.disks.iter().map(Circle::bbox).collect(), CoordSpace::Identity)
+                }
+            };
+            let tree = moved.stab_index();
+            assert_eq!(tree.len(), moved.n_circles(), "{metric:?}");
+            for &p in &probes {
+                let q = space.to_sweep(p);
+                let mut got = tree.stab_vec(q);
+                got.sort_unstable();
+                let want: Vec<u32> = (0..rects.len() as u32)
+                    .filter(|&i| rects[i as usize].contains_closed(q))
+                    .collect();
+                assert_eq!(got, want, "{metric:?}: stab at {p:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,14 +10,14 @@
 mod util;
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::HeatMapBuilder;
-use rnnhm_serve::{serve, ServerConfig};
+use rnnhm_serve::{json, serve, ServerConfig};
 use util::{
     raster_bytes, raw_roundtrip, request, request_with, test_engine, test_engine_lod, KeepAlive,
 };
@@ -317,6 +317,51 @@ fn idle_sessions_are_reaped_and_the_registry_swept() {
     server.shutdown();
 }
 
+/// The in-process session on the snapshot HTTP session `id` serves,
+/// found among the engine's live snapshots by the fingerprint
+/// `GET /session/{id}` reports.
+fn in_process_session(
+    engine: &ExplorationEngine<CountMeasure>,
+    addr: SocketAddr,
+    id: u64,
+) -> Session<CountMeasure> {
+    let reply = request(addr, "GET", &format!("/session/{id}")).unwrap();
+    let info = String::from_utf8(reply.body).unwrap();
+    let fp = info
+        .split("\"fingerprint\":\"")
+        .nth(1)
+        .and_then(|rest| rest.split('"').next())
+        .unwrap_or_else(|| panic!("no fingerprint in {info}"));
+    let snap = engine
+        .snapshots()
+        .into_iter()
+        .find(|s| format!("{:016x}", s.fingerprint()) == fp)
+        .expect("the session's snapshot is registered and alive");
+    engine.session_at(snap)
+}
+
+/// Every `/influence` body of HTTP session `id` is exactly
+/// `{"influence":..,"rnn":[..]}` built from `Session::influence_at` on
+/// the snapshot that session serves.
+fn assert_influence_bodies(
+    engine: &ExplorationEngine<CountMeasure>,
+    addr: SocketAddr,
+    id: u64,
+    points: &[Point],
+) {
+    let session = in_process_session(engine, addr, id);
+    for p in points {
+        let target = format!("/session/{id}/influence?x={}&y={}", p.x, p.y);
+        let reply = request(addr, "GET", &target).unwrap();
+        assert_eq!(reply.status, 200, "{target}");
+        let (rnn, influence) = session.influence_at(*p);
+        let ids: Vec<String> = rnn.iter().map(u32::to_string).collect();
+        let want =
+            format!("{{\"influence\":{},\"rnn\":[{}]}}", json::number(influence), ids.join(","));
+        assert_eq!(String::from_utf8(reply.body).unwrap(), want, "{target}");
+    }
+}
+
 #[test]
 fn session_lifecycle_fork_edit_delete_and_queries() {
     let engine = test_engine(900, 29);
@@ -335,6 +380,28 @@ fn session_lifecycle_fork_edit_delete_and_queries() {
     assert!(edit_body.contains("\"dirty_rects\""), "{edit_body}");
     assert!(!edit_body.contains(&format!("{root_fp:016x}")), "edit must commit a new snapshot");
     assert_eq!(engine.session().fingerprint(), root_fp, "the root is untouched");
+
+    // `/influence` answers exactly what the in-process session on the
+    // same snapshot answers, on the root and on the edited fork, before
+    // and after one more fork edit.
+    let mut state = 0x2f1e_0d3c_u64;
+    let mut unit = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((state >> 11) as f64) / ((1u64 << 53) as f64)
+    };
+    let mut points: Vec<Point> = (0..48).map(|_| Point::new(unit(), unit())).collect();
+    points.extend([Point::new(0.52, 0.48), Point::new(0.3, 0.7)]);
+    for id in [0, 1] {
+        assert_influence_bodies(&engine, addr, id, &points);
+    }
+    let fork_fp = in_process_session(&engine, addr, 1).fingerprint();
+    let edit = request(addr, "POST", "/session/1/edit?op=add&x=0.3&y=0.7").unwrap();
+    assert_eq!(edit.status, 200);
+    assert_ne!(in_process_session(&engine, addr, 1).fingerprint(), fork_fp, "a geometry edit");
+    for id in [0, 1] {
+        assert_influence_bodies(&engine, addr, id, &points);
+    }
+    assert_eq!(engine.session().fingerprint(), root_fp, "the root is still untouched");
 
     // Query endpoints return well-formed JSON.
     let topk = request(addr, "GET", "/session/1/topk?k=3").unwrap();

@@ -515,7 +515,11 @@ impl<M: InfluenceMeasure> Session<M> {
     /// The RNN set (sorted) and influence of an arbitrary location
     /// (input-space coordinates, closed containment): what a facility
     /// placed there would capture, bit for bit
-    /// [`PlacementQuery::influence_of`].
+    /// [`PlacementQuery::influence_of`]. One stab of the snapshot's
+    /// point-enclosure index: the first probe on a snapshot builds it
+    /// (an STR R-tree over every NN-circle), and every later probe,
+    /// fork and session on that snapshot reuses it. A geometric no-op
+    /// edit keeps it; a geometry-changing edit starts without one.
     pub fn influence_at(&self, q: Point) -> (Vec<u32>, f64) {
         PlacementQuery::new(&self.snap, &self.shared.measure).influence_of(q)
     }

@@ -13,9 +13,17 @@
 //! * `influence_at_matches_influence_of`: `Session::influence_at`
 //!   returns the sorted RNN set and the measure of that sorted set, bit
 //!   for bit what `PlacementQuery::influence_of` returns at the same
-//!   point, at every `top_placements(10)` point and at random points.
+//!   point *and* what an independent closed-containment scan over the
+//!   snapshot's circles gives (both point paths stab one index, so the
+//!   scan is the reference). Probes: every `top_placements(10)` point,
+//!   random points, and the corners and edge midpoints of circles'
+//!   sweep-frame squares or disk bboxes, where closed containment
+//!   decides. Every metric, k ∈ {1, 2}, unsharded and on 2 and 7
+//!   shards, before and after an add, a move, a remove and a geometric
+//!   no-op add, and on an idle fork after its sibling's edits.
 
 use proptest::prelude::*;
+use rnn_heatmap::geom::Circle;
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::HeatMapBuilder;
 
@@ -203,28 +211,139 @@ fn lcg_points(seed: u64, n: usize) -> Vec<Point> {
     (0..n).map(|_| Point::new(next(), next())).collect()
 }
 
+/// The closed-containment scan: the owners of every circle of `snap`
+/// containing `p`, sorted, and the measure of that sorted set.
+fn scan_influence<M: InfluenceMeasure>(
+    snap: &ArrangementSnapshot,
+    measure: &M,
+    p: Point,
+) -> (Vec<u32>, f64) {
+    let mut rnn: Vec<u32> = match snap.arrangement() {
+        ArrangementRef::Square(a) => {
+            let q = a.space.to_sweep(p);
+            a.squares
+                .iter()
+                .zip(&a.owners)
+                .filter(|(s, _)| s.contains_closed(q))
+                .map(|(_, &o)| o)
+                .collect()
+        }
+        ArrangementRef::Disk(d) => d
+            .disks
+            .iter()
+            .zip(&d.owners)
+            .filter(|(c, _)| c.contains_closed(p))
+            .map(|(_, &o)| o)
+            .collect(),
+    };
+    rnn.sort_unstable();
+    let influence = measure.influence(&rnn);
+    (rnn, influence)
+}
+
+/// Input-space points on circle boundaries: the corners and edge
+/// midpoints of every `stride`-th circle's sweep-frame square (exact
+/// for L∞, mapped back from the rotated frame for L1) or disk bbox
+/// (whose edge midpoints are where the disk touches it).
+fn boundary_probes(snap: &ArrangementSnapshot, stride: usize) -> Vec<Point> {
+    let (rects, space): (Vec<Rect>, CoordSpace) = match snap.arrangement() {
+        ArrangementRef::Square(a) => (a.squares.iter().step_by(stride).copied().collect(), a.space),
+        ArrangementRef::Disk(d) => {
+            (d.disks.iter().step_by(stride).map(Circle::bbox).collect(), CoordSpace::Identity)
+        }
+    };
+    rects
+        .iter()
+        .flat_map(|r| {
+            let (xm, ym) = (0.5 * (r.x_lo + r.x_hi), 0.5 * (r.y_lo + r.y_hi));
+            [
+                (r.x_lo, r.y_lo),
+                (r.x_hi, r.y_lo),
+                (r.x_lo, r.y_hi),
+                (r.x_hi, r.y_hi),
+                (xm, r.y_lo),
+                (xm, r.y_hi),
+                (r.x_lo, ym),
+                (r.x_hi, ym),
+            ]
+        })
+        .map(|(x, y)| space.to_original(Point::new(x, y)))
+        .collect()
+}
+
+/// `session.influence_at` at every probe equals the scan over the
+/// session's snapshot and `PlacementQuery::influence_of` on it, by
+/// bits.
+fn check_probes<M: InfluenceMeasure>(session: &Session<M>, probes: &[Point], what: &str) {
+    let snap = session.snapshot();
+    let query = PlacementQuery::new(snap, session.measure());
+    for &p in probes {
+        let (rnn, influence) = session.influence_at(p);
+        assert!(rnn.windows(2).all(|w| w[0] < w[1]), "{what}: sorted at {p:?}");
+        let (want_rnn, want) = scan_influence(snap, session.measure(), p);
+        assert_eq!(rnn, want_rnn, "{what}: RNN set vs scan at {p:?}");
+        assert_eq!(influence.to_bits(), want.to_bits(), "{what}: bits vs scan at {p:?}");
+        let (query_rnn, query_influence) = query.influence_of(p);
+        assert_eq!(rnn, query_rnn, "{what}: RNN set vs influence_of at {p:?}");
+        assert_eq!(
+            influence.to_bits(),
+            query_influence.to_bits(),
+            "{what}: bits vs influence_of at {p:?}"
+        );
+    }
+}
+
 #[test]
 fn influence_at_matches_influence_of() {
+    const STRIDE: usize = 25;
     let clients = lcg_points(0x1a2b_3c4d, 1500);
     let facilities = lcg_points(0x5e6f_7081, 60);
     let probes = lcg_points(0x9293_a4b5, 300);
     let weights: Vec<f64> = (0..clients.len()).map(|i| 0.5 + (i * 37 % 97) as f64 / 97.0).collect();
     for metric in Metric::ALL {
         for k in [1usize, 2] {
-            let session = HeatMapBuilder::bichromatic(clients.clone(), facilities.clone())
-                .metric(metric)
-                .k(k)
-                .build(WeightedMeasure::new(weights.clone()))
-                .expect("buildable instance");
-            let query = PlacementQuery::new(session.snapshot(), session.measure());
-            let tops: Vec<Point> = session.top_placements(10).iter().map(|p| p.point).collect();
-            assert_eq!(tops.len(), 10);
-            for &p in tops.iter().chain(&probes) {
-                let (rnn, influence) = session.influence_at(p);
-                assert!(rnn.windows(2).all(|w| w[0] < w[1]), "{metric:?} k={k}: sorted at {p:?}");
-                let (want_rnn, want) = query.influence_of(p);
-                assert_eq!(rnn, want_rnn, "{metric:?} k={k}: RNN set at {p:?}");
-                assert_eq!(influence.to_bits(), want.to_bits(), "{metric:?} k={k}: bits at {p:?}");
+            // Sharding leaves the contiguous view alone, so the
+            // unsharded session's top placements serve all three.
+            let mut tops: Vec<Point> = Vec::new();
+            for shards in [None, Some(2), Some(7)] {
+                let what = format!("{metric:?} k={k} shards={shards:?}");
+                let mut builder = HeatMapBuilder::bichromatic(clients.clone(), facilities.clone())
+                    .metric(metric)
+                    .k(k);
+                if let Some(n) = shards {
+                    builder = builder.shards(n);
+                }
+                let mut session = builder
+                    .build(WeightedMeasure::new(weights.clone()))
+                    .expect("buildable instance");
+                if shards.is_none() {
+                    tops = session.top_placements(10).iter().map(|p| p.point).collect();
+                    assert_eq!(tops.len(), 10);
+                }
+                let mut at_root = tops.clone();
+                at_root.extend(&probes);
+                at_root.extend(boundary_probes(session.snapshot(), STRIDE));
+                check_probes(&session, &at_root, &format!("{what} root"));
+
+                let idle = session.fork();
+                let check_now = |session: &Session<WeightedMeasure>, step: &str| {
+                    let mut at = probes.clone();
+                    at.extend(boundary_probes(session.snapshot(), STRIDE));
+                    check_probes(session, &at, &format!("{what} after {step}"));
+                };
+                session.add_facility(Point::new(5.0, 5.0)).expect("add");
+                check_now(&session, "an add");
+                session.move_facility(3, Point::new(2.5, 7.5)).expect("move");
+                check_now(&session, "a move");
+                session.remove_facility(10).expect("remove");
+                check_now(&session, "a remove");
+                let before = session.fingerprint();
+                session.add_facility(Point::new(1e3, 1e3)).expect("far add");
+                assert_eq!(session.fingerprint(), before, "{what}: a far add is a geometric no-op");
+                check_now(&session, "a no-op add");
+
+                assert_ne!(idle.fingerprint(), session.fingerprint(), "{what}: the sibling edited");
+                check_probes(&idle, &at_root, &format!("{what} idle fork"));
             }
         }
     }
