@@ -4,20 +4,14 @@
 //! * changed-interval + base-set caching gain: CREST vs CREST-A on the
 //!   same arrangements (isolates §V-C against §V-B alone),
 //! * influence-measure cost sensitivity: count vs capacity measure under
-//!   CREST (the `λ` factor in `O(n log n + rλ)`),
-//! * parallel slab scaling: 1 vs 4 slabs on the full-strip tiling sweep,
-//! * point-enclosure backends for BA: STR R-tree vs interval tree (the
-//!   S-tree stand-ins of paper §IV).
+//!   CREST (the `λ` factor in `O(n log n + rλ)`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rnnhm_bench::runner::{capacity_measure, count, square_arrangement};
 use rnnhm_bench::workload::{build_workload, DatasetKind};
-use rnnhm_core::baseline::baseline_sweep_with;
 use rnnhm_core::crest::{crest_a_sweep, crest_sweep};
-use rnnhm_core::parallel::parallel_crest_uncapped;
-use rnnhm_core::sink::{CollectSink, MaterializeSink};
+use rnnhm_core::sink::MaterializeSink;
 use rnnhm_geom::Metric;
-use rnnhm_index::{IntervalTree, RTree};
 use std::hint::black_box;
 
 fn changed_interval_gain(c: &mut Criterion) {
@@ -51,52 +45,5 @@ fn measure_cost(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_scaling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_parallel_slabs");
-    group.sample_size(10);
-    let w = build_workload(DatasetKind::Uniform, 4096, 64, 5);
-    let arr = square_arrangement(&w, Metric::L1);
-    for slabs in [1usize, 4] {
-        group.bench_with_input(BenchmarkId::new("tiling", slabs), &arr, |b, arr| {
-            b.iter(|| {
-                parallel_crest_uncapped(black_box(arr), &count(), slabs, true, CollectSink::default)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn enclosure_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_enclosure_backend");
-    group.sample_size(10);
-    let w = build_workload(DatasetKind::Uniform, 512, 32, 3);
-    let arr = square_arrangement(&w, Metric::L1);
-    group.bench_function("rtree", |b| {
-        b.iter(|| {
-            baseline_sweep_with::<RTree, _, _>(
-                black_box(&arr),
-                &count(),
-                &mut MaterializeSink::default(),
-            )
-        })
-    });
-    group.bench_function("interval_tree", |b| {
-        b.iter(|| {
-            baseline_sweep_with::<IntervalTree, _, _>(
-                black_box(&arr),
-                &count(),
-                &mut MaterializeSink::default(),
-            )
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    changed_interval_gain,
-    measure_cost,
-    parallel_scaling,
-    enclosure_backends
-);
+criterion_group!(benches, changed_interval_gain, measure_cost);
 criterion_main!(benches);

@@ -1,6 +1,5 @@
 //! Criterion bench for the raster paths: scanline engine vs per-pixel
-//! oracle vs count-only superimposition, across grid sizes and client
-//! counts.
+//! oracle, across grid sizes and client counts.
 //!
 //! Criterion samples moderate sizes. End to end, the scanline path is
 //! measured by `perfbench`'s `pan_zoom` workload (every tile miss renders
@@ -11,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rnnhm_bench::runner::{capacity_measure, count, square_arrangement};
 use rnnhm_bench::workload::{build_workload, DatasetKind};
 use rnnhm_geom::{Metric, Rect};
-use rnnhm_heatmap::compute::{rasterize_count_squares_fast, rasterize_squares_oracle};
+use rnnhm_heatmap::compute::rasterize_squares_oracle;
 use rnnhm_heatmap::scanline::rasterize_squares_scanline;
 use rnnhm_heatmap::GridSpec;
 use std::hint::black_box;
@@ -31,9 +30,6 @@ fn bench_paths(c: &mut Criterion) {
             });
             group.bench_with_input(BenchmarkId::new("oracle", &tag), &arr, |b, arr| {
                 b.iter(|| rasterize_squares_oracle(black_box(arr), &count(), spec))
-            });
-            group.bench_with_input(BenchmarkId::new("fast_count", &tag), &arr, |b, arr| {
-                b.iter(|| rasterize_count_squares_fast(black_box(arr), spec))
             });
         }
     }

@@ -31,7 +31,7 @@ use rnnhm_bench::workload::{build_workload, DatasetKind};
 use rnnhm_core::measure::CountMeasure;
 use rnnhm_data::Dataset;
 use rnnhm_geom::{Metric, Rect};
-use rnnhm_heatmap::{rasterize_count_squares_fast, write_ppm, ColorRamp, GridSpec};
+use rnnhm_heatmap::{rasterize_squares, rasterize_squares_oracle, write_ppm, ColorRamp, GridSpec};
 
 /// BA feasibility cut-off: predicted grid cells above this are skipped
 /// (the analog of the paper's 24-hour cut-off; BA at |O| = 2^16 would
@@ -225,27 +225,27 @@ fn showcase(quick: bool) {
         .expect("non-empty city");
         let extent = Rect::bounding(&ds.points).expect("non-empty");
         let spec = GridSpec::new(px, px, extent);
-        let raster = rasterize_count_squares_fast(&arr, spec);
+        let raster = rasterize_squares(&arr, &CountMeasure, spec);
         let path = Path::new("results").join(format!("{name}.ppm"));
         let mut f = fs::File::create(&path).expect("create ppm");
         write_ppm(&mut f, &raster, ColorRamp::Heat).expect("write ppm");
         let (lo, hi) = raster.min_max();
         println!("{name}: |O|={n_o} |F|={n_f} heat range [{lo}, {hi}] -> {}", path.display());
-        // Sanity: an exact generic-measure raster at low resolution agrees
-        // with the fast count path (also exercises the generic path).
+        // Sanity: at low resolution the scanline agrees with the
+        // per-pixel oracle.
         if quick {
             let small = GridSpec::new(64, 64, extent);
-            let exact = rnnhm_heatmap::rasterize_squares(&arr, &CountMeasure, small);
-            let fast = rasterize_count_squares_fast(&arr, small);
+            let oracle = rasterize_squares_oracle(&arr, &CountMeasure, small);
+            let scanline = rasterize_squares(&arr, &CountMeasure, small);
             let mut diff = 0usize;
             for row in 0..64 {
                 for col in 0..64 {
-                    if exact.get(col, row) != fast.get(col, row) {
+                    if oracle.get(col, row) != scanline.get(col, row) {
                         diff += 1;
                     }
                 }
             }
-            assert_eq!(diff, 0, "fast and exact rasters disagree on {diff} pixels");
+            assert_eq!(diff, 0, "scanline and oracle rasters disagree on {diff} pixels");
         }
     }
 }

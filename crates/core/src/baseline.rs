@@ -12,7 +12,7 @@
 //! queries and labels each region once per covering cell.
 
 use rnnhm_geom::{Point, Rect};
-use rnnhm_index::{EnclosureIndex, RTree};
+use rnnhm_index::RTree;
 
 use crate::arrangement::SquareArrangement;
 use crate::measure::InfluenceMeasure;
@@ -37,8 +37,8 @@ fn grid_lines(arr: &SquareArrangement) -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-/// Runs the baseline algorithm over a square arrangement with the
-/// default point-enclosure backend (the STR R-tree).
+/// Runs the baseline algorithm over a square arrangement, answering
+/// its point-enclosure queries with the STR R-tree.
 ///
 /// Every grid cell is labeled through `sink`; `stats.labels` equals the
 /// paper's `m` (number of grid cells).
@@ -47,21 +47,11 @@ pub fn baseline_sweep<M: InfluenceMeasure, S: RegionSink>(
     measure: &M,
     sink: &mut S,
 ) -> SweepStats {
-    baseline_sweep_with::<RTree, M, S>(arr, measure, sink)
-}
-
-/// [`baseline_sweep`] with a caller-chosen point-enclosure backend
-/// (R-tree or the interval tree closer to the paper's S-tree \[25\]).
-pub fn baseline_sweep_with<I: EnclosureIndex, M: InfluenceMeasure, S: RegionSink>(
-    arr: &SquareArrangement,
-    measure: &M,
-    sink: &mut S,
-) -> SweepStats {
     let mut stats = SweepStats::default();
     if arr.is_empty() {
         return stats;
     }
-    let tree = I::build_index(&arr.squares);
+    let tree = RTree::build(&arr.squares);
     let (xs, ys) = grid_lines(arr);
 
     let mut hits: Vec<u32> = Vec::new();
@@ -76,7 +66,7 @@ pub fn baseline_sweep_with<I: EnclosureIndex, M: InfluenceMeasure, S: RegionSink
             // interior to the cell, hence interior to its region, so
             // closed vs open enclosure cannot disagree).
             hits.clear();
-            tree.stab_point(Point::new(cx, cy), &mut hits);
+            tree.stab(Point::new(cx, cy), &mut hits);
             members.clear();
             members.extend(hits.iter().map(|&c| arr.owners[c as usize]));
             let influence = measure.influence(&members);

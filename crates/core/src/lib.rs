@@ -77,8 +77,8 @@ pub use placement::{
 pub use rnnset::RnnSet;
 pub use shard::ShardMap;
 pub use sink::{
-    CollectSink, LabeledRegion, MaterializeSink, MaxSink, NullSink, RegionSink, SumSink,
-    ThresholdSink, TopKSink,
+    CollectSink, LabeledRegion, MaterializeSink, MaxSink, NullSink, RegionSink, ThresholdSink,
+    TopKSink,
 };
 pub use snapshot::{ArrangementSnapshot, CowVec, RestrictedArrangement, StorageSharing};
 pub use stats::SweepStats;

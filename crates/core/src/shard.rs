@@ -5,8 +5,8 @@
 //! the dataset; restricting it to a tile extent scans all of them.
 //! That scan is O(n) per tile — fine at n = 100k, ruinous at n = 5M. A
 //! [`ShardMap`] cuts the *clients* into vertical slabs of their
-//! sweep-space centers (the same axis `crate::parallel` slices sweeps
-//! by), so the snapshot can
+//! sweep-space centers (slabs across the sweep's x axis), so the
+//! snapshot can
 //!
 //! * **build** shard-independently (each shard's members are known
 //!   before any geometry exists, because membership depends only on

@@ -379,38 +379,6 @@ impl RegionSink for ThresholdSink {
     }
 }
 
-/// Accumulates `Σ influence · area` over labeled rectangles — the
-/// integral of the influence field.
-///
-/// **Exactness requires an exact tiling**: feed this sink from the
-/// CREST-A full-strip sweep ([`crate::crest::crest_a_sweep`]) or the
-/// slab-parallel driver with `full_strips = true`, where the emitted
-/// rectangles partition the arrangement's bbox and — crucially — strip
-/// rectangles are clipped to their slab, so a circle tangent to a slab
-/// boundary is never integrated twice (property-tested in
-/// `crate::parallel`). Under the plain CREST sweep the labels are
-/// *representative* first-subregions, not a tiling, and sums are
-/// meaningless; the same holds across slab merges, where a straddling
-/// region is labeled once per slab it touches.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SumSink {
-    /// `Σ influence · rect.area()` over every label consumed.
-    pub weighted_sum: f64,
-    /// `Σ rect.area()` over every label consumed.
-    pub area: f64,
-    /// Number of labels consumed.
-    pub labels: u64,
-}
-
-impl RegionSink for SumSink {
-    fn label(&mut self, rect: Rect, _rnn: &[u32], influence: f64) {
-        let a = rect.area();
-        self.weighted_sum += influence * a;
-        self.area += a;
-        self.labels += 1;
-    }
-}
-
 /// Consumes every label by materializing the RNN set into a reusable
 /// buffer, accumulating a checksum.
 ///

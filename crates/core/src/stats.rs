@@ -17,26 +17,3 @@ pub struct SweepStats {
     /// Peak number of elements in the line status.
     pub peak_line: usize,
 }
-
-impl SweepStats {
-    /// Accumulates another stats record (used by the parallel driver).
-    pub fn merge(&mut self, other: &SweepStats) {
-        self.labels += other.labels;
-        self.events += other.events;
-        self.max_rnn = self.max_rnn.max(other.max_rnn);
-        self.peak_line = self.peak_line.max(other.peak_line);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = SweepStats { labels: 10, events: 5, max_rnn: 3, peak_line: 7 };
-        let b = SweepStats { labels: 1, events: 2, max_rnn: 9, peak_line: 4 };
-        a.merge(&b);
-        assert_eq!(a, SweepStats { labels: 11, events: 7, max_rnn: 9, peak_line: 7 });
-    }
-}

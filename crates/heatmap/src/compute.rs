@@ -1,6 +1,6 @@
 //! Rasterization: influence values on a pixel grid.
 //!
-//! Three paths, trading generality for speed:
+//! Two paths, one fast and one obviously correct:
 //!
 //! * **Exact scanline** ([`rasterize_squares`], [`rasterize_disks`] —
 //!   the default): each pixel row is swept once; NN-shapes contribute
@@ -10,7 +10,10 @@
 //!   being recomputed per pixel. Rows render in parallel bands across
 //!   all cores. `O(Σ rows(shape) + events·log events + P)` — typically
 //!   orders of magnitude less work than the per-pixel oracle at heat-map
-//!   resolutions. Implemented in [`crate::scanline`].
+//!   resolutions. Under the count measure, row-invariant squares skip
+//!   events and add into a per-row difference array — the paper's
+//!   superimposition (Fig 3(b)), exact because the count is a plain sum.
+//!   Implemented in [`crate::scanline`].
 //! * **Exact per-pixel oracle** ([`rasterize_squares_oracle`],
 //!   [`rasterize_disks_oracle`]): an independent point-enclosure query
 //!   per pixel center against an R-tree over the NN-circles, then the
@@ -19,11 +22,6 @@
 //!   [`InfluenceMeasure`] (no incremental interface needed) and serves
 //!   as the reference implementation the scanline path is tested
 //!   bit-identical against (`tests/scanline_matches_oracle.rs`).
-//! * **Fast, count-only** ([`rasterize_count_squares_fast`]): the paper's
-//!   superimposition (Fig 3(b)) as a 2-D difference array over pixel
-//!   bins, `O(n + P)`. As §I explains, superimposition is only correct
-//!   when the influence is the plain RNN count — and here only for
-//!   *binned* (pixel-aligned) coverage in identity coordinates.
 //!
 //! The scanline path is bit-identical to the oracle for every measure
 //! whose value is an order-insensitive exact computation (all four
@@ -121,55 +119,6 @@ pub fn rasterize_disks_oracle<M: InfluenceMeasure>(
     raster
 }
 
-/// Fast count-measure rasterization of a square arrangement via a 2-D
-/// difference array (`O(n + P)`).
-///
-/// Counts how many NN-circles cover each pixel *center*. Only valid for
-/// [`rnnhm_core::CountMeasure`]-style influence; see module docs. Only
-/// supported for arrangements in identity coordinate space (L∞); rotated
-/// (L1) arrangements use the exact path.
-pub fn rasterize_count_squares_fast(arr: &SquareArrangement, spec: GridSpec) -> HeatRaster {
-    assert!(
-        matches!(arr.space, rnnhm_core::CoordSpace::Identity),
-        "fast path requires identity coordinates; use rasterize_squares for L1"
-    );
-    let w = spec.width;
-    let h = spec.height;
-    // diff is (h+1) × (w+1); entry (r, c) affects pixels (≥r, ≥c).
-    let mut diff = vec![0i64; (w + 1) * (h + 1)];
-    let ext = spec.extent;
-    let col_of = |x: f64| -> f64 { (x - ext.x_lo) / ext.width() * w as f64 };
-    let row_of = |y: f64| -> f64 { (y - ext.y_lo) / ext.height() * h as f64 };
-    for s in &arr.squares {
-        // Pixels whose *center* lies in [lo, hi): center of col c is
-        // c + 0.5 (in grid units), so the covered columns are
-        // ceil(lo − 0.5) .. ceil(hi − 0.5) − 1 — i.e. round(·) bounds.
-        let c0 = (col_of(s.x_lo) - 0.5).ceil().max(0.0) as usize;
-        let c1 = ((col_of(s.x_hi) - 0.5).ceil().min(w as f64)) as usize;
-        let r0 = (row_of(s.y_lo) - 0.5).ceil().max(0.0) as usize;
-        let r1 = ((row_of(s.y_hi) - 0.5).ceil().min(h as f64)) as usize;
-        if c0 >= c1 || r0 >= r1 {
-            continue;
-        }
-        diff[r0 * (w + 1) + c0] += 1;
-        diff[r0 * (w + 1) + c1] -= 1;
-        diff[r1 * (w + 1) + c0] -= 1;
-        diff[r1 * (w + 1) + c1] += 1;
-    }
-    // 2-D prefix sum into the raster.
-    let mut raster = HeatRaster::new(spec);
-    let mut row_acc = vec![0i64; w];
-    for row in 0..h {
-        let mut acc = 0i64;
-        for col in 0..w {
-            acc += diff[row * (w + 1) + col];
-            row_acc[col] += acc;
-            raster.set(col, row, row_acc[col] as f64);
-        }
-    }
-    raster
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,10 +154,12 @@ mod tests {
 
     #[test]
     fn fast_count_matches_exact() {
+        // The scanline's count path (difference array for row-invariant
+        // squares) against the per-pixel oracle.
         let arr = arr_from_squares(pseudo_squares(40, 5));
         let spec = GridSpec::new(64, 48, Rect::new(0.0, 10.0, 0.0, 10.0));
-        let exact = rasterize_squares(&arr, &CountMeasure, spec);
-        let fast = rasterize_count_squares_fast(&arr, spec);
+        let exact = rasterize_squares_oracle(&arr, &CountMeasure, spec);
+        let fast = rasterize_squares(&arr, &CountMeasure, spec);
         for row in 0..spec.height {
             for col in 0..spec.width {
                 assert_eq!(
@@ -241,15 +192,7 @@ mod tests {
     fn square_outside_grid_ignored() {
         let arr = arr_from_squares(vec![Rect::new(100.0, 101.0, 100.0, 101.0)]);
         let spec = GridSpec::new(8, 8, Rect::new(0.0, 10.0, 0.0, 10.0));
-        let fast = rasterize_count_squares_fast(&arr, spec);
-        assert_eq!(fast.sum(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "identity coordinates")]
-    fn fast_path_rejects_rotated_space() {
-        let mut arr = arr_from_squares(vec![Rect::new(0.0, 1.0, 0.0, 1.0)]);
-        arr.space = CoordSpace::Rotated45;
-        rasterize_count_squares_fast(&arr, GridSpec::new(4, 4, Rect::new(0.0, 1.0, 0.0, 1.0)));
+        let raster = rasterize_squares(&arr, &CountMeasure, spec);
+        assert_eq!(raster.sum(), 0.0);
     }
 }

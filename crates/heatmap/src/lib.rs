@@ -8,11 +8,11 @@
 //! * [`scanline`] — the default exact rasterizer: per-row enter/leave
 //!   events over NN-shape spans, incremental influence maintenance
 //!   between events, row-parallel across all cores,
-//! * [`compute`] — the rasterization front ends: scanline (default),
-//!   the per-pixel-stab oracle (any measure; the scanline path's test
-//!   reference) and an `O(n + P)` fast path for the count measure
-//!   (2-D difference array — the "superimposition" of paper Fig 3(b),
-//!   which is exact for counts and only for counts),
+//! * [`compute`] — the rasterization front ends: scanline (default)
+//!   and the per-pixel-stab oracle (any measure; the scanline path's
+//!   test reference),
+//! * [`ops`] — raster differences, peak extraction and the block
+//!   copies that stitch tiles,
 //! * [`render`] — PPM/PGM/ASCII writers with heat color ramps (darker =
 //!   more influential, following the paper's figures),
 //! * [`quant`] — compact bit-exact tile payloads: deduplicated rows of
@@ -39,11 +39,10 @@ pub mod scanline;
 pub mod tiles;
 
 pub use compute::{
-    rasterize_count_squares_fast, rasterize_disks, rasterize_disks_oracle, rasterize_squares,
-    rasterize_squares_oracle,
+    rasterize_disks, rasterize_disks_oracle, rasterize_squares, rasterize_squares_oracle,
 };
 pub use mipmap::HeatMipmap;
-pub use ops::{blit, blit_payload, diff, downsample, max_pixel, upsample_nearest};
+pub use ops::{blit, blit_payload, diff, max_pixel};
 pub use quant::TilePayload;
 pub use raster::{GridSpec, HeatRaster};
 pub use render::{write_pgm, write_ppm, ColorRamp};

@@ -1,8 +1,11 @@
 //! Raster operations for exploratory analysis: differences (before/after
-//! a candidate placement), downsampling, and peak extraction.
+//! a candidate placement), peak extraction, and the block copies that
+//! stitch tiles into viewports. Coarser and finer views come from the
+//! tile layer: `HeatMipmap` averages base tiles, `Viewport::preview`
+//! upsamples cached ancestors.
 
 use crate::quant::TilePayload;
-use crate::raster::{GridSpec, HeatRaster};
+use crate::raster::HeatRaster;
 
 /// `a − b`, pixel-wise. Panics if the grids differ.
 ///
@@ -15,33 +18,6 @@ pub fn diff(a: &HeatRaster, b: &HeatRaster) -> HeatRaster {
     for row in 0..a.spec.height {
         for col in 0..a.spec.width {
             out.set(col, row, a.get(col, row) - b.get(col, row));
-        }
-    }
-    out
-}
-
-/// Downsamples by an integer `factor`, averaging each block (partial
-/// edge blocks average their covered pixels).
-pub fn downsample(r: &HeatRaster, factor: usize) -> HeatRaster {
-    assert!(factor >= 1, "factor must be positive");
-    let spec = r.spec;
-    let w = spec.width.div_ceil(factor);
-    let h = spec.height.div_ceil(factor);
-    let mut out = HeatRaster::new(GridSpec::new(w, h, spec.extent));
-    for row in 0..h {
-        for col in 0..w {
-            let mut sum = 0.0;
-            let mut count = 0usize;
-            for dy in 0..factor {
-                for dx in 0..factor {
-                    let (sc, sr) = (col * factor + dx, row * factor + dy);
-                    if sc < spec.width && sr < spec.height {
-                        sum += r.get(sc, sr);
-                        count += 1;
-                    }
-                }
-            }
-            out.set(col, row, sum / count as f64);
         }
     }
     out
@@ -98,25 +74,6 @@ pub fn blit_payload(
     }
 }
 
-/// Upsamples by an integer `factor` with nearest-neighbor replication:
-/// every source pixel becomes a `factor × factor` block — the inverse
-/// companion of [`downsample`], for zoom-out display of an existing
-/// raster. (Tile previews use the same nearest-neighbor rule but with
-/// per-block offsets into the ancestor tile, implemented inline in
-/// `tiles::Viewport::preview`.)
-pub fn upsample_nearest(r: &HeatRaster, factor: usize) -> HeatRaster {
-    assert!(factor >= 1, "factor must be positive");
-    let spec = r.spec;
-    let out_spec = GridSpec::new(spec.width * factor, spec.height * factor, spec.extent);
-    let mut out = HeatRaster::new(out_spec);
-    for row in 0..out_spec.height {
-        for col in 0..out_spec.width {
-            out.set(col, row, r.get(col / factor, row / factor));
-        }
-    }
-    out
-}
-
 /// The hottest pixel: `(col, row, value)`. Ties go to the first in
 /// row-major order. `None` on an all-NaN-free empty… rasters are never
 /// empty, so this always returns a pixel.
@@ -136,6 +93,7 @@ pub fn max_pixel(r: &HeatRaster) -> (usize, usize, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::raster::GridSpec;
     use rnnhm_geom::Rect;
 
     fn raster_with(values: &[(usize, usize, f64)], w: usize, h: usize) -> HeatRaster {
@@ -165,42 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn downsample_averages_blocks() {
-        let mut r = raster_with(&[], 4, 4);
-        for row in 0..4 {
-            for col in 0..4 {
-                r.set(col, row, (row * 4 + col) as f64);
-            }
-        }
-        let d = downsample(&r, 2);
-        assert_eq!(d.spec.width, 2);
-        assert_eq!(d.spec.height, 2);
-        // Block (0,0) holds values {0,1,4,5} → mean 2.5.
-        assert_eq!(d.get(0, 0), 2.5);
-        // Block (1,1) holds {10,11,14,15} → mean 12.5.
-        assert_eq!(d.get(1, 1), 12.5);
-    }
-
-    #[test]
-    fn downsample_handles_ragged_edges() {
-        let mut r = raster_with(&[], 3, 3);
-        for row in 0..3 {
-            for col in 0..3 {
-                r.set(col, row, 1.0);
-            }
-        }
-        let d = downsample(&r, 2);
-        assert_eq!(d.spec.width, 2);
-        assert_eq!(d.spec.height, 2);
-        // Constant raster stays constant regardless of block coverage.
-        for row in 0..2 {
-            for col in 0..2 {
-                assert_eq!(d.get(col, row), 1.0);
-            }
-        }
-    }
-
-    #[test]
     fn blit_copies_block() {
         let src = raster_with(&[(0, 0, 1.0), (1, 0, 2.0), (0, 1, 3.0), (1, 1, 4.0)], 3, 3);
         let mut dst = raster_with(&[(0, 0, 9.0)], 4, 4);
@@ -223,30 +145,8 @@ mod tests {
     }
 
     #[test]
-    fn upsample_replicates_and_inverts_downsample() {
-        let src = raster_with(&[(0, 0, 1.0), (1, 0, 2.0), (0, 1, 3.0), (1, 1, 4.0)], 2, 2);
-        let up = upsample_nearest(&src, 2);
-        assert_eq!(up.spec.width, 4);
-        assert_eq!(up.spec.height, 4);
-        for (col, row, v) in [(0, 0, 1.0), (1, 1, 1.0), (2, 0, 2.0), (1, 2, 3.0), (3, 3, 4.0)] {
-            assert_eq!(up.get(col, row), v, "({col},{row})");
-        }
-        // Averaging each replicated block recovers the original.
-        let down = downsample(&up, 2);
-        assert_eq!(down.values(), src.values());
-    }
-
-    #[test]
     fn max_pixel_finds_peak() {
         let r = raster_with(&[(2, 1, 9.0), (0, 0, 4.0)], 4, 3);
         assert_eq!(max_pixel(&r), (2, 1, 9.0));
-    }
-
-    #[test]
-    fn identity_downsample() {
-        let r = raster_with(&[(1, 1, 7.0)], 3, 3);
-        let d = downsample(&r, 1);
-        assert_eq!(d.get(1, 1), 7.0);
-        assert_eq!(d.spec, r.spec);
     }
 }

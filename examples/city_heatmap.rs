@@ -39,24 +39,15 @@ fn main() {
         .expect("non-empty city");
     println!("built {} NN-circles ({} dropped as zero-radius)", arr.len(), arr.dropped);
 
-    // Exact scanline rasterization (row-parallel, any measure). The
-    // count-only superimposition is timed alongside for comparison —
-    // the scanline engine stays within a small factor of it while
-    // supporting every influence measure.
+    // Exact scanline rasterization (row-parallel, any measure).
     let extent = Rect::bounding(&points).expect("non-empty");
     let spec = GridSpec::new(900, 900, extent);
     let start = rnnhm_core::clock::now();
     let raster = rasterize_squares(&arr, &CountMeasure, spec);
     let scanline_ms = start.elapsed().as_secs_f64() * 1e3;
-    let start = rnnhm_core::clock::now();
-    let fast = rasterize_count_squares_fast(&arr, spec);
-    let fast_ms = start.elapsed().as_secs_f64() * 1e3;
     let (lo, hi) = raster.min_max();
     println!("heat range: [{lo}, {hi}]");
-    println!(
-        "rasterized exactly in {scanline_ms:.1} ms (count-only superimposition: {fast_ms:.1} ms)"
-    );
-    drop(fast);
+    println!("rasterized exactly in {scanline_ms:.1} ms");
 
     let mut f = File::create(out).expect("create output file");
     write_ppm(&mut f, &raster, ColorRamp::Heat).expect("write ppm");

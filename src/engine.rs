@@ -95,11 +95,6 @@ const REGISTRY_PRUNE_EVERY: usize = 64;
 /// and the exact-zoom threshold.
 const LOD_KEY_SEED: u64 = 0x4c4f44; // "LOD"
 
-/// A pending-dirty list longer than this collapses to its bounding
-/// box: re-rendering a few extra base tiles is cheaper than carrying
-/// (and intersecting against) an unbounded rect list.
-const LOD_DIRTY_CAP: usize = 32;
-
 /// One snapshot's level-of-detail state: a ready pyramid, or a recipe
 /// for deriving one lazily from an ancestor's.
 ///
@@ -107,11 +102,14 @@ const LOD_DIRTY_CAP: usize = 32;
 /// which needs the `IncrementalMeasure + Sync` rasterizer bound, while
 /// edits are available to every measure. So [`Session::finish_edit`]
 /// only *records lineage* (ancestor pyramid + accumulated dirty
-/// rects), and the first coarse-tile request on the new snapshot
+/// region), and the first coarse-tile request on the new snapshot
 /// resolves it: re-render the dirty-touched base tiles, re-average
-/// upward. Chained edits accumulate rects against the same ancestor —
-/// every touched base tile is re-rendered from the *current* snapshot,
-/// so the patched pyramid is bitwise a fresh build.
+/// upward. Chained edits merge their dirty regions against the same
+/// ancestor — every touched base tile is re-rendered from the *current*
+/// snapshot, so the patched pyramid is bitwise a fresh build. The
+/// merged region is a [`DirtyRegion`], which coalesces overlapping
+/// rects and collapses to its bounding box past its cap, so the recipe
+/// stays small however long the edit chain.
 enum LodState {
     /// Pyramid built (or patched) for this snapshot.
     Ready(Arc<HeatMipmap>),
@@ -119,8 +117,8 @@ enum LodState {
     Patch {
         /// The last materialized pyramid on this edit branch.
         ancestor: Arc<HeatMipmap>,
-        /// Union of dirty rects of every edit since `ancestor`.
-        dirty: Vec<Rect>,
+        /// Union of the dirty regions of every edit since `ancestor`.
+        dirty: DirtyRegion,
     },
 }
 
@@ -695,7 +693,7 @@ impl<M: InfluenceMeasure> Session<M> {
 
     /// Carries the parent snapshot's LoD pyramid over an edit as a
     /// *lazy patch recipe* (see [`LodState`]): the ancestor pyramid
-    /// plus the accumulated dirty rects. The actual re-rendering
+    /// plus the accumulated dirty region. The actual re-rendering
     /// happens on the next coarse-tile request. When this session was
     /// the parent's sole user, the parent's entry is dropped.
     fn propagate_lod(
@@ -709,7 +707,7 @@ impl<M: InfluenceMeasure> Session<M> {
         }
         let mut lod = self.shared.lod.lock().unwrap_or_else(|e| e.into_inner());
         let parent = match lod.get(&old.fingerprint()) {
-            Some(LodState::Ready(m)) => Some((m.clone(), Vec::new())),
+            Some(LodState::Ready(m)) => Some((m.clone(), DirtyRegion::new())),
             Some(LodState::Patch { ancestor, dirty }) => Some((ancestor.clone(), dirty.clone())),
             None => None,
         };
@@ -719,11 +717,7 @@ impl<M: InfluenceMeasure> Session<M> {
         let Some((ancestor, mut dirty)) = parent else {
             return;
         };
-        dirty.extend_from_slice(outcome.dirty.rects());
-        if dirty.len() > LOD_DIRTY_CAP {
-            let union = dirty[1..].iter().fold(dirty[0], |acc, r| acc.union(r));
-            dirty = vec![union];
-        }
+        dirty.merge(&outcome.dirty);
         lod.insert(self.snap.fingerprint(), LodState::Patch { ancestor, dirty });
     }
 }
@@ -866,7 +860,7 @@ impl<M: IncrementalMeasure + Sync> Session<M> {
         let built = match pending {
             Some((ancestor, dirty)) => {
                 let mut patched = (*ancestor).clone();
-                patched.patch(scheme, &dirty, render);
+                patched.patch(scheme, dirty.rects(), render);
                 Arc::new(patched)
             }
             None => Arc::new(HeatMipmap::build(scheme, ze, render)),

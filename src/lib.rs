@@ -78,7 +78,6 @@ pub mod prelude {
         CapacityMeasure, ConnectivityMeasure, CountMeasure, ExactFallback, IncrementalMeasure,
         InfluenceMeasure, WeightedMeasure,
     };
-    pub use rnnhm_core::parallel::parallel_crest;
     pub use rnnhm_core::placement::{
         GreedyOutcome, GreedyStep, PlacementConstraints, PlacementEvaluation, PlacementQuery,
         PlacementRegion, PruneStats, Relocation,
@@ -96,8 +95,8 @@ pub mod prelude {
     pub use rnnhm_data::{sample_clients_facilities, Dataset};
     pub use rnnhm_geom::{Metric, Point, Rect};
     pub use rnnhm_heatmap::{
-        rasterize_count_squares_fast, rasterize_disks, rasterize_disks_oracle, rasterize_squares,
-        rasterize_squares_oracle, CacheStats, ColorRamp, GridSpec, HeatRaster, Preview,
-        ShardOccupancy, TileCache, TileId, TileScheme, Viewport,
+        rasterize_disks, rasterize_disks_oracle, rasterize_squares, rasterize_squares_oracle,
+        CacheStats, ColorRamp, GridSpec, HeatRaster, Preview, ShardOccupancy, TileCache, TileId,
+        TileScheme, Viewport,
     };
 }

@@ -11,7 +11,6 @@ use rand::{Rng, SeedableRng};
 use rnn_heatmap::prelude::*;
 use rnnhm_core::baseline::baseline_sweep;
 use rnnhm_core::oracle::{area_by_signature, assert_area_maps_equal, rnn_at_square, signature};
-use rnnhm_core::parallel::parallel_crest_uncapped;
 
 fn workload(n_clients: usize, n_facilities: usize, seed: u64) -> (Vec<Point>, Vec<Point>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -119,30 +118,6 @@ fn monochromatic_mode_matches_oracle() {
         }
         assert_eq!(signature(&r.rnn), rnn_at_square(&arr, r.rect.center()));
     }
-}
-
-#[test]
-fn parallel_matches_sequential_on_workload() {
-    let (clients, facilities) = workload(120, 12, 44);
-    let arr =
-        build_square_arrangement(&clients, &facilities, Metric::Linf, Mode::Bichromatic).unwrap();
-    // Exact tiling comparison across slab counts.
-    let mut seq = CollectSink::default();
-    crest_a_sweep(&arr, &CountMeasure, &mut seq);
-    for slabs in [2, 3, 8] {
-        let (par, _) =
-            parallel_crest_uncapped(&arr, &CountMeasure, slabs, true, CollectSink::default);
-        assert_area_maps_equal(
-            &area_by_signature(&seq.regions),
-            &area_by_signature(&par.regions),
-            1e-6,
-        );
-    }
-    // Max-region agreement with optimal labeling.
-    let mut max_seq = MaxSink::default();
-    crest_sweep(&arr, &CountMeasure, &mut max_seq);
-    let (max_par, _) = parallel_crest_uncapped(&arr, &CountMeasure, 4, false, MaxSink::default);
-    assert_eq!(max_seq.best.unwrap().influence, max_par.best.unwrap().influence);
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! Rendering pipeline integration: fast vs exact rasters on real
-//! NN-circle arrangements, the rotated L1 path, determinism of PPM
-//! output, and raster ops.
+//! Rendering pipeline integration: scanline vs per-pixel oracle
+//! rasters on real NN-circle arrangements, the rotated L1 path,
+//! determinism of PPM output, and raster ops.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,8 +22,8 @@ fn fast_and_exact_rasters_agree_on_nn_circles() {
     let arr =
         build_square_arrangement(&clients, &facilities, Metric::Linf, Mode::Bichromatic).unwrap();
     let spec = GridSpec::new(80, 60, Rect::new(0.0, 10.0, 0.0, 10.0));
-    let exact = rasterize_squares(&arr, &CountMeasure, spec);
-    let fast = rasterize_count_squares_fast(&arr, spec);
+    let exact = rasterize_squares_oracle(&arr, &CountMeasure, spec);
+    let fast = rasterize_squares(&arr, &CountMeasure, spec);
     for row in 0..spec.height {
         for col in 0..spec.width {
             assert_eq!(exact.get(col, row), fast.get(col, row), "pixel ({col},{row})");
@@ -56,7 +56,7 @@ fn renders_are_deterministic() {
     let arr =
         build_square_arrangement(&clients, &facilities, Metric::Linf, Mode::Bichromatic).unwrap();
     let spec = GridSpec::new(64, 64, Rect::new(0.0, 10.0, 0.0, 10.0));
-    let raster = rasterize_count_squares_fast(&arr, spec);
+    let raster = rasterize_squares(&arr, &CountMeasure, spec);
     let mut ppm1 = Vec::new();
     let mut ppm2 = Vec::new();
     rnnhm_heatmap::write_ppm(&mut ppm1, &raster, ColorRamp::Heat).unwrap();

@@ -235,3 +235,46 @@ fn lazy_patch_equals_cold_rebuild_bitwise() {
         }
     }
 }
+
+#[test]
+fn chained_patch_past_the_dirty_cap_equals_cold_rebuild_bitwise() {
+    // 45 edits spread over the world land on one warm pyramid before
+    // any coarse tile is asked for, so the pending dirty rects
+    // outgrow their 32-rect cap and collapse at least once. The
+    // patched pyramid must still equal a cold build of the same script
+    // bit for bit, error bounds included.
+    let warm = build(true, None);
+    let cold = build(true, None);
+    let mut w = warm.session();
+    let mut c = cold.session();
+    // Warm one pyramid, and pin the cold engine's tile scheme to the
+    // same pre-edit extent without building its pyramid.
+    let _ = w.tile_lod(TileId { zoom: 0, tx: 0, ty: 0 });
+    let _ = c.tile_scheme();
+    let mut pushed = 0;
+    for (i, p) in pseudo_points(30, 17, 10.0).into_iter().enumerate() {
+        let (fw, dirty) = w.add_facility(p).expect("add");
+        let (fc, _) = c.add_facility(p).expect("add");
+        pushed += dirty.rects().len();
+        if i % 2 == 1 {
+            pushed += w.remove_facility(fw).expect("remove").rects().len();
+            c.remove_facility(fc).expect("remove");
+        }
+    }
+    assert!(pushed > 32, "the script must push more dirty rects than the cap ({pushed})");
+    assert_eq!(w.tile_scheme().fingerprint(), c.tile_scheme().fingerprint());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for zoom in 0..ZE {
+        let side = 1u32 << zoom;
+        for ty in 0..side {
+            for tx in 0..side {
+                let id = TileId { zoom, tx, ty };
+                let pw = w.tile_lod(id);
+                let pc = c.tile_lod(id);
+                assert!(pw.approx && pc.approx, "{id:?} must be approximate");
+                assert_eq!(bits(pw.raster.values()), bits(pc.raster.values()), "{id:?}");
+                assert_eq!(pw.error_bound.to_bits(), pc.error_bound.to_bits(), "{id:?} bound");
+            }
+        }
+    }
+}
