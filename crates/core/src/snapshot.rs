@@ -41,10 +41,15 @@
 //! through [`ArrangementSnapshot::restrict_to`], which filters straight
 //! off the chunked storage. Point probes (`Session::influence_at`,
 //! placement scoring) stab one R-tree over that view, also built once
-//! on demand and shared by every reader of the snapshot.
+//! on demand and shared by every reader of the snapshot. Whole-snapshot
+//! region answers ([`ArrangementSnapshot::top_k`],
+//! [`ArrangementSnapshot::top_placements`]) are memoized the same way:
+//! each (measure, query) is swept once per snapshot, however many
+//! sessions, forks and threads ask it.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread;
 
 use rnnhm_geom::transform::rotate45;
@@ -55,9 +60,15 @@ use crate::arrangement::{
     circle_arrangement, fnv1a_words, knn_assignments, nn_circle, CoordSpace, DiskArrangement, Mode,
     SquareArrangement,
 };
+use crate::crest::crest_sweep;
+use crate::crest_l2::crest_l2_sweep;
 use crate::edit::{ArrangementRef, CircleChange, EditError, EditOutcome, Shape};
+use crate::measure::InfluenceMeasure;
 use crate::parallel::{chunk_ranges, effective_parallelism};
+use crate::placement::{PlacementQuery, PlacementRegion};
 use crate::shard::ShardMap;
+use crate::sink::{LabeledRegion, RegionSink, TopKSink};
+use crate::stats::SweepStats;
 use crate::BuildError;
 
 /// Sentinel for "client has no shape in the arrangement" (zero-radius
@@ -235,6 +246,22 @@ enum ShapeStore {
     Disk { disks: CowVec<Circle> },
 }
 
+/// One memoized answer. The memo lock only finds or adds the cell; the
+/// first asker computes inside it while later askers of the same key
+/// wait on it, so concurrent asks compute once. A computation that
+/// panics leaves the cell empty for the next asker.
+type MemoCell<T> = Arc<OnceLock<Vec<T>>>;
+
+/// The region answers memoized on one snapshot: one table per query
+/// kind, keyed by (measure [`InfluenceMeasure::cache_key`], `k` or `m`).
+/// Entries live as long as the snapshot; the only eviction is a
+/// larger top-k replacing the smaller ones it extends.
+#[derive(Default)]
+struct RegionMemo {
+    top_k: BTreeMap<(u64, usize), MemoCell<LabeledRegion>>,
+    placements: BTreeMap<(u64, usize), MemoCell<PlacementRegion>>,
+}
+
 /// A contiguous arrangement of either circle kind: the per-tile render
 /// base [`ArrangementSnapshot::restrict_to`] returns, and a snapshot's
 /// full contiguous view ([`ArrangementSnapshot::arrangement`]).
@@ -292,6 +319,12 @@ pub struct ArrangementSnapshot {
     /// The point-stab index over `materialized`'s circles, built on
     /// the first point probe ([`ArrangementSnapshot::stab_index`]).
     stab: OnceLock<Arc<RTree>>,
+    /// Whole-snapshot region answers ([`ArrangementSnapshot::top_k`],
+    /// [`ArrangementSnapshot::top_placements`]), computed on first ask
+    /// and shared by every reader of the snapshot and by its geometric
+    /// no-op successors.
+    // lint:lock-rank(36)
+    region_memo: Arc<Mutex<RegionMemo>>,
 }
 
 impl ArrangementSnapshot {
@@ -372,6 +405,7 @@ impl ArrangementSnapshot {
             shards: None,
             materialized: cell,
             stab: OnceLock::new(),
+            region_memo: Arc::default(),
         })
     }
 
@@ -581,6 +615,84 @@ impl ArrangementSnapshot {
         })
     }
 
+    /// One full CREST (L∞, L1) or CREST-L2 sweep of the arrangement
+    /// under `measure` into `sink`.
+    pub fn sweep<M: InfluenceMeasure, S: RegionSink>(
+        &self,
+        measure: &M,
+        sink: &mut S,
+    ) -> SweepStats {
+        match self.arrangement() {
+            ArrangementRef::Square(a) => crest_sweep(a, measure, sink),
+            ArrangementRef::Disk(d) => crest_l2_sweep(d, measure, sink),
+        }
+    }
+
+    /// The `k` most influential regions under `measure`, deduplicated
+    /// by RNN set, ties broken by first emission: exactly
+    /// [`crate::postprocess::top_k`] over a full sweep's labels.
+    /// `measure_key` is `measure.cache_key()`, passed in so a caller
+    /// that asks often hashes the measure once.
+    ///
+    /// Memoized on the snapshot per (`measure_key`, `k`): the first ask
+    /// runs one sweep into a [`TopKSink`] bounded by
+    /// [`InfluenceMeasure::raw_upper_bound`], concurrent asks wait for
+    /// it, and every later ask — from any session, fork or thread
+    /// holding this snapshot — copies the answer. A held or in-flight
+    /// answer for a larger `k` serves a smaller one as a prefix, and a
+    /// short answer (fewer regions than its `k`, so every distinct
+    /// region) serves any `k`; so the memo holds one answer per
+    /// measure, for the largest `k` asked.
+    pub fn top_k<M: InfluenceMeasure>(
+        &self,
+        measure: &M,
+        measure_key: u64,
+        k: usize,
+    ) -> Vec<LabeledRegion> {
+        let (asked, cell) = {
+            let mut memo = self.region_memo.lock().unwrap_or_else(|e| e.into_inner());
+            let table = &mut memo.top_k;
+            let serving = table
+                .range((measure_key, 0)..=(measure_key, usize::MAX))
+                .find(|(&(_, asked), cell)| {
+                    k <= asked || cell.get().is_some_and(|top| top.len() < asked)
+                })
+                .map(|(&(_, asked), cell)| (asked, cell.clone()));
+            serving.unwrap_or_else(|| {
+                // Every answer held for this measure is a prefix of the
+                // new one, so the new one replaces them.
+                table.retain(|&(key, _), cell| key != measure_key || cell.get().is_none());
+                (k, table.entry((measure_key, k)).or_default().clone())
+            })
+        };
+        // The cell's own `asked`: a waiter that takes over from a
+        // panicked first asker computes what the key promises.
+        let top = cell.get_or_init(|| {
+            let mut sink = TopKSink::with_bound(asked, |rnn: &[u32]| measure.raw_upper_bound(rnn));
+            self.sweep(measure, &mut sink);
+            sink.into_top()
+        });
+        top[..k.min(top.len())].to_vec()
+    }
+
+    /// The `m` best regions to place a new facility under `measure`:
+    /// exactly [`PlacementQuery::top_placements`], memoized on the
+    /// snapshot per (`measure_key`, `m`) as [`ArrangementSnapshot::top_k`]
+    /// is. `PlacementQuery` itself stays uncached, the independent
+    /// reference for this memo.
+    pub fn top_placements<M: InfluenceMeasure>(
+        &self,
+        measure: &M,
+        measure_key: u64,
+        m: usize,
+    ) -> Vec<PlacementRegion> {
+        let cell = {
+            let mut memo = self.region_memo.lock().unwrap_or_else(|e| e.into_inner());
+            memo.placements.entry((measure_key, m)).or_default().clone()
+        };
+        cell.get_or_init(|| PlacementQuery::new(self, measure).top_placements(m)).clone()
+    }
+
     /// The arrangement view for queries, sweeps and rasterization
     /// (materialized lazily, cached for the snapshot's lifetime).
     pub fn arrangement(&self) -> ArrangementRef<'_> {
@@ -729,9 +841,9 @@ impl ArrangementSnapshot {
         }
     }
 
-    /// A chunk-sharing working copy with an empty materialized cache
-    /// and stab index (edits change geometry, so the parent's view
-    /// must not leak).
+    /// A chunk-sharing working copy with an empty materialized cache,
+    /// stab index and region memo (edits change geometry, so the
+    /// parent's derived state must not leak).
     fn working_copy(&self) -> ArrangementSnapshot {
         ArrangementSnapshot {
             metric: self.metric,
@@ -753,16 +865,17 @@ impl ArrangementSnapshot {
             shards: self.shards.clone(),
             materialized: OnceLock::new(),
             stab: OnceLock::new(),
+            region_memo: Arc::default(),
         }
     }
 
     /// Seals a working copy: geometry-changing edits get a fresh,
     /// process-unique fingerprint; geometric no-ops keep the parent's
-    /// fingerprint, its materialized view *and* its stab index (the
-    /// circles are untouched). On sharded snapshots, only the shards
-    /// owning a changed circle recompute their summary, and the
-    /// per-shard fingerprints are re-composed around the fresh salted
-    /// base.
+    /// fingerprint, its materialized view and its stab index, and
+    /// share its region memo (the circles are untouched). On sharded
+    /// snapshots, only the shards owning a changed circle recompute
+    /// their summary, and the per-shard fingerprints are re-composed
+    /// around the fresh salted base.
     fn seal(&self, mut next: ArrangementSnapshot, out: &EditOutcome) -> ArrangementSnapshot {
         if out.dirty.is_empty() {
             if let Some(m) = self.materialized.get() {
@@ -771,6 +884,7 @@ impl ArrangementSnapshot {
             if let Some(t) = self.stab.get() {
                 let _ = next.stab.set(t.clone());
             }
+            next.region_memo = self.region_memo.clone();
         } else {
             next.generation += 1;
             let salt = SNAPSHOT_SALT.fetch_add(1, Ordering::Relaxed);
@@ -1230,6 +1344,31 @@ mod tests {
                 assert_eq!(got, want, "{metric:?}: stab at {p:?}");
             }
         }
+    }
+
+    #[test]
+    fn top_k_memo_keeps_one_answer_per_measure() {
+        use crate::measure::{CountMeasure, WeightedMeasure};
+
+        let clients = pseudo_points(300, 37, 10.0);
+        let snap = ArrangementSnapshot::build(
+            clients.clone(),
+            pseudo_points(8, 41, 10.0),
+            Metric::Linf,
+            Mode::Bichromatic,
+        )
+        .unwrap();
+        let weighted = WeightedMeasure::new((0..clients.len()).map(|i| 1.0 + i as f64).collect());
+        let keys = [CountMeasure.cache_key(), weighted.cache_key()];
+        for k in [2, 6, 4, 9, 1] {
+            snap.top_k(&CountMeasure, keys[0], k);
+            snap.top_k(&weighted, keys[1], k);
+        }
+        let memo = snap.region_memo.lock().unwrap();
+        let held: Vec<(u64, usize)> = memo.top_k.keys().copied().collect();
+        let mut want = vec![(keys[0], 9), (keys[1], 9)];
+        want.sort_unstable();
+        assert_eq!(held, want, "the largest k asked per measure serves every smaller k");
     }
 
     #[test]

@@ -11,17 +11,18 @@
 //!   geometry, and one **shared, sharded, single-flight**
 //!   [`TileCache`];
 //! * a [`Session`] is one user's view: an `Arc` of some committed
-//!   snapshot plus private region answers computed on demand (a label
-//!   list, the last top-k).
-//!   [`Session::fork`] is `O(1)` — no circles or candidate lists are
-//!   copied — and every read path ([`Session::viewport`],
+//!   snapshot plus a private label list computed on demand. Top-k and
+//!   placement answers are memoized on the snapshot itself, so all
+//!   the sessions, forks and threads on one snapshot sweep each
+//!   question once. [`Session::fork`] is `O(1)` — no circles or
+//!   candidate lists are copied — and every read path ([`Session::viewport`],
 //!   [`Session::influence_at`], [`Session::top_k`], …) takes `&self`,
 //!   so any number of threads can serve frames from clones or
 //!   references of sessions concurrently;
 //! * edits ([`Session::add_facility`] /
 //!   [`Session::remove_facility`] / [`Session::move_facility`])
 //!   commit a **new** snapshot (chunk-level copy-on-write against the
-//!   parent), reset the session's region answers, and never disturb
+//!   parent) whose region answers start empty, and never disturb
 //!   other sessions: committed snapshots are immutable forever, so a
 //!   reader mid-frame on the old snapshot finishes on exactly the
 //!   geometry it started with — no torn frames, by construction
@@ -66,15 +67,13 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
 
 use rnnhm_core::arrangement::fnv1a_words;
-use rnnhm_core::crest::crest_sweep;
-use rnnhm_core::crest_l2::crest_l2_sweep;
 use rnnhm_core::edit::{ArrangementRef, DirtyRegion, EditError, EditOutcome};
 use rnnhm_core::measure::{IncrementalMeasure, InfluenceMeasure};
 use rnnhm_core::placement::{
-    GreedyStep, PlacementConstraints, PlacementQuery, PlacementRegion, PruneStats, Relocation,
+    GreedyStep, PlacementConstraints, PlacementQuery, PlacementRegion, Relocation,
 };
 use rnnhm_core::postprocess::threshold;
-use rnnhm_core::sink::{CollectSink, LabeledRegion, RegionSink, TopKSink};
+use rnnhm_core::sink::{CollectSink, LabeledRegion};
 use rnnhm_core::snapshot::{ArrangementSnapshot, RestrictedArrangement};
 use rnnhm_core::stats::SweepStats;
 use rnnhm_geom::{Point, Rect};
@@ -154,22 +153,45 @@ struct EngineShared<M> {
 
 impl<M> EngineShared<M> {
     fn register(&self, snap: &Arc<ArrangementSnapshot>) {
-        let mut guard = self.registry.lock().unwrap_or_else(|e| e.into_inner());
-        let (registry, count) = &mut *guard;
-        registry.push(Arc::downgrade(snap));
-        *count += 1;
-        if (*count).is_multiple_of(REGISTRY_PRUNE_EVERY) {
-            registry.retain(|w| w.strong_count() > 0);
-        }
+        let live = {
+            let mut guard = self.registry.lock().unwrap_or_else(|e| e.into_inner());
+            let (registry, count) = &mut *guard;
+            registry.push(Arc::downgrade(snap));
+            *count += 1;
+            if !(*count).is_multiple_of(REGISTRY_PRUNE_EVERY) {
+                return;
+            }
+            live_fingerprints(registry)
+        };
+        self.prune_lod(&live);
     }
 
-    /// Sweeps dead weak refs out of the registry and reports its
-    /// post-sweep occupancy.
+    /// Sweeps dead weak refs out of the registry, and the LoD state of
+    /// the snapshots they held, and reports the registry's post-sweep
+    /// occupancy.
     fn prune_registry(&self) -> RegistryStats {
-        let mut guard = self.registry.lock().unwrap_or_else(|e| e.into_inner());
-        let (registry, count) = &mut *guard;
-        registry.retain(|w| w.strong_count() > 0);
-        RegistryStats { entries: registry.len(), live: registry.len(), registered: *count }
+        let (stats, live) = {
+            let mut guard = self.registry.lock().unwrap_or_else(|e| e.into_inner());
+            let (registry, count) = &mut *guard;
+            let live = live_fingerprints(registry);
+            let n = registry.len();
+            (RegistryStats { entries: n, live: n, registered: *count }, live)
+        };
+        self.prune_lod(&live);
+        stats
+    }
+
+    /// Drops the LoD state of every fingerprint outside `live` (sorted):
+    /// a pyramid outlives its snapshot otherwise. Called with the
+    /// registry lock released, since the two locks never nest. An edit
+    /// racing the prune may lose its new entry; its next coarse tile
+    /// then builds the pyramid cold, bitwise the same.
+    fn prune_lod(&self, live: &[u64]) {
+        if self.lod_exact_zoom.is_none() {
+            return;
+        }
+        let mut lod = self.lod.lock().unwrap_or_else(|e| e.into_inner());
+        lod.retain(|fp, _| live.binary_search(fp).is_ok());
     }
 
     /// The tile scheme, created on first use over `snap`'s extent.
@@ -189,6 +211,29 @@ impl<M> EngineShared<M> {
     }
 }
 
+/// Sweeps dead weak refs out of `registry` and returns the snapshots
+/// still alive, oldest first.
+fn live_snapshots(registry: &mut Vec<Weak<ArrangementSnapshot>>) -> Vec<Arc<ArrangementSnapshot>> {
+    let mut live = Vec::with_capacity(registry.len());
+    registry.retain(|w| match w.upgrade() {
+        Some(snap) => {
+            live.push(snap);
+            true
+        }
+        None => false,
+    });
+    live
+}
+
+/// [`live_snapshots`]' fingerprints, sorted and deduplicated (a
+/// geometric no-op edit keeps its parent's fingerprint).
+fn live_fingerprints(registry: &mut Vec<Weak<ArrangementSnapshot>>) -> Vec<u64> {
+    let mut live: Vec<u64> = live_snapshots(registry).iter().map(|s| s.fingerprint()).collect();
+    live.sort_unstable();
+    live.dedup();
+    live
+}
+
 /// Occupancy of an engine's snapshot registry (see
 /// [`ExplorationEngine::registry_stats`]). The registry holds every
 /// committed snapshot *weakly*: `registered` counts lifetime commits,
@@ -206,16 +251,9 @@ pub struct RegistryStats {
     pub registered: usize,
 }
 
-/// The region answers of one session's current snapshot, each computed
-/// on first use; an edit resets them all.
-#[derive(Default)]
-struct RegionsCache {
-    /// Every label of one full sweep, and that sweep's statistics.
-    list: Option<(Vec<LabeledRegion>, SweepStats)>,
-    /// The answer to the largest top-k asked so far, with the `k` asked:
-    /// any smaller `k` is a prefix of it.
-    top: Option<(usize, Vec<LabeledRegion>)>,
-}
+/// Every label of one full sweep of a session's snapshot, and that
+/// sweep's statistics: computed on first use, reset by an edit.
+type LabelList = Option<(Vec<LabeledRegion>, SweepStats)>;
 
 /// A concurrent exploration engine over one dataset: the root
 /// snapshot, the tile pyramid, and the shared sharded tile cache. See
@@ -270,22 +308,14 @@ impl<M: InfluenceMeasure> ExplorationEngine<M> {
     /// engine's lineage (e.g. one taken from [`Session::snapshot`] or
     /// [`ExplorationEngine::snapshots`]) — snapshot "time travel".
     pub fn session_at(&self, snapshot: Arc<ArrangementSnapshot>) -> Session<M> {
-        Session {
-            shared: self.shared.clone(),
-            snap: snapshot,
-            regions: Mutex::new(RegionsCache::default()),
-        }
+        Session { shared: self.shared.clone(), snap: snapshot, regions: Mutex::new(None) }
     }
 
     /// Consumes the engine into a session on the root snapshot,
     /// releasing the engine's hold on the root (the single-user mode
     /// [`crate::HeatMapBuilder::build`] returns).
     pub fn into_session(self) -> Session<M> {
-        Session {
-            shared: self.shared,
-            snap: self.root,
-            regions: Mutex::new(RegionsCache::default()),
-        }
+        Session { shared: self.shared, snap: self.root, regions: Mutex::new(None) }
     }
 
     /// The dataset's root snapshot.
@@ -299,15 +329,7 @@ impl<M: InfluenceMeasure> ExplorationEngine<M> {
     /// pass.
     pub fn snapshots(&self) -> Vec<Arc<ArrangementSnapshot>> {
         let mut guard = self.shared.registry.lock().unwrap_or_else(|e| e.into_inner());
-        let mut live = Vec::new();
-        guard.0.retain(|w| match w.upgrade() {
-            Some(snap) => {
-                live.push(snap);
-                true
-            }
-            None => false,
-        });
-        live
+        live_snapshots(&mut guard.0)
     }
 
     /// Explicitly sweeps dead weak refs from the snapshot registry and
@@ -366,10 +388,13 @@ fn input_bbox(snap: &ArrangementSnapshot) -> Rect {
 }
 
 /// One user's view of an [`ExplorationEngine`]: a committed snapshot
-/// plus private region answers (a label list, the last top-k), sharing
-/// the engine's tile cache. Region answers are computed on demand and
-/// reset by every edit; [`Session::top_k`] sweeps into a bounded sink
-/// without building the label list.
+/// plus a private label list, sharing the engine's tile cache. The
+/// label list ([`Session::regions`], [`Session::at_least`]) is swept on
+/// demand and reset by every edit. [`Session::top_k`] and
+/// [`Session::top_placements`] read through the snapshot's memo of
+/// region answers instead: the first ask on a snapshot sweeps, and
+/// every later ask of it — from this session, a fork, or any session
+/// of an engine with the same measure — copies that answer.
 ///
 /// All read paths take `&self` and are safe to call from many threads
 /// at once (`Session` is `Send + Sync`); edits take `&mut self` and
@@ -378,7 +403,7 @@ pub struct Session<M: InfluenceMeasure> {
     shared: Arc<EngineShared<M>>,
     snap: Arc<ArrangementSnapshot>,
     // lint:lock-rank(30)
-    regions: Mutex<RegionsCache>,
+    regions: Mutex<LabelList>,
 }
 
 impl<M: InfluenceMeasure> Session<M> {
@@ -387,11 +412,7 @@ impl<M: InfluenceMeasure> Session<M> {
     /// are invisible to `self` and vice versa; until either edits,
     /// both serve (and warm) the same cached tiles.
     pub fn fork(&self) -> Session<M> {
-        Session {
-            shared: self.shared.clone(),
-            snap: self.snap.clone(),
-            regions: Mutex::new(RegionsCache::default()),
-        }
+        Session { shared: self.shared.clone(), snap: self.snap.clone(), regions: Mutex::new(None) }
     }
 
     /// The session's current committed snapshot (immutable; clone the
@@ -430,22 +451,13 @@ impl<M: InfluenceMeasure> Session<M> {
         self.shared.lod_exact_zoom
     }
 
-    /// One full CREST (L∞, L1) or CREST-L2 sweep of the snapshot into
-    /// `sink`.
-    fn sweep(&self, sink: &mut impl RegionSink) -> SweepStats {
-        match self.snap.arrangement() {
-            ArrangementRef::Square(arr) => crest_sweep(arr, &self.shared.measure, sink),
-            ArrangementRef::Disk(arr) => crest_l2_sweep(arr, &self.shared.measure, sink),
-        }
-    }
-
     /// Runs `f` over the snapshot's label list and sweep statistics,
     /// sweeping on first use.
     fn with_list<R>(&self, f: impl FnOnce(&[LabeledRegion], SweepStats) -> R) -> R {
-        let mut cache = self.regions.lock().unwrap_or_else(|e| e.into_inner());
-        let (list, stats) = cache.list.get_or_insert_with(|| {
+        let mut held = self.regions.lock().unwrap_or_else(|e| e.into_inner());
+        let (list, stats) = held.get_or_insert_with(|| {
             let mut sink = CollectSink::default();
-            let stats = self.sweep(&mut sink);
+            let stats = self.snap.sweep(&self.shared.measure, &mut sink);
             (sink.regions, stats)
         });
         f(list, *stats)
@@ -480,24 +492,16 @@ impl<M: InfluenceMeasure> Session<M> {
     /// broken by first emission — exactly
     /// [`rnnhm_core::postprocess::top_k`] over [`Session::regions`].
     ///
-    /// Runs one sweep straight into a [`TopKSink`] bounded by the
-    /// measure's [`InfluenceMeasure::raw_upper_bound`]; no label list is
-    /// built. The answer for the largest `k` asked is kept until the
-    /// next edit, and serves every smaller `k` as a prefix.
+    /// Reads through the snapshot's region-answer memo
+    /// ([`ArrangementSnapshot::top_k`]): the first ask of a `k` on a
+    /// snapshot runs one sweep into a bounded
+    /// [`rnnhm_core::sink::TopKSink`] (no label list is built), and
+    /// every later ask from any session, fork or thread on that
+    /// snapshot copies it. The largest `k` asked serves every smaller
+    /// `k` as a prefix. Concurrent first asks of one `k` sweep once;
+    /// the others wait for that sweep.
     pub fn top_k(&self, k: usize) -> Vec<LabeledRegion> {
-        let mut cache = self.regions.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((asked, top)) = &cache.top {
-            // A short answer already holds every distinct region.
-            if k <= *asked || top.len() < *asked {
-                return top[..k.min(top.len())].to_vec();
-            }
-        }
-        let measure = &self.shared.measure;
-        let mut sink = TopKSink::with_bound(k, |rnn: &[u32]| measure.raw_upper_bound(rnn));
-        self.sweep(&mut sink);
-        let top = sink.into_top();
-        cache.top = Some((k, top.clone()));
-        top
+        self.snap.top_k(&self.shared.measure, self.shared.measure_key, k)
     }
 
     /// The single most influential region.
@@ -579,16 +583,16 @@ impl<M: InfluenceMeasure> Session<M> {
 
     /// The `m` best regions to place a hypothetical new facility
     /// (MaxBRkNN top-m), most influential first, each carrying its
-    /// input-space geometry for overlay rendering. A pure function of
-    /// the snapshot fingerprint and the measure — results are exact
-    /// and cacheable under the fingerprint as a strong validator.
+    /// input-space geometry for overlay rendering: exactly
+    /// [`PlacementQuery::top_placements`]. A pure function of the
+    /// snapshot fingerprint and the measure, so it reads through the
+    /// snapshot's region-answer memo
+    /// ([`ArrangementSnapshot::top_placements`]): the first ask of an
+    /// `m` on a snapshot sweeps (concurrent first asks wait for that
+    /// one sweep), and every later ask from any session or fork on
+    /// that snapshot copies the answer.
     pub fn top_placements(&self, m: usize) -> Vec<PlacementRegion> {
-        PlacementQuery::new(&self.snap, &self.shared.measure).top_placements(m)
-    }
-
-    /// [`Session::top_placements`] plus upper-bound pruning statistics.
-    pub fn top_placements_stats(&self, m: usize) -> (Vec<PlacementRegion>, PruneStats) {
-        PlacementQuery::new(&self.snap, &self.shared.measure).top_placements_stats(m)
+        self.snap.top_placements(&self.shared.measure, self.shared.measure_key, m)
     }
 
     /// Where should facility `facility` move? Evaluates a tentative
@@ -649,11 +653,14 @@ impl<M: InfluenceMeasure> Session<M> {
     }
 
     /// Commits an edit's successor snapshot and propagates derived
-    /// state: the session's region answers reset (the next region query
-    /// re-sweeps), and the shared tile cache carries the parent's clean
-    /// tiles over to the new fingerprint — *moving* them when this
-    /// session was the old snapshot's sole user, *aliasing* them (old
-    /// entries stay, for the forks still serving the parent) otherwise.
+    /// state: the session's label list resets (the successor's region
+    /// memo starts empty too, so the next region query re-sweeps), and
+    /// the shared tile cache carries the parent's clean tiles over to
+    /// the new fingerprint — *moving* them when this session was the
+    /// old snapshot's sole user, *aliasing* them (old entries stay,
+    /// for the forks still serving the parent) otherwise. A geometric
+    /// no-op keeps the fingerprint, the tiles, the label list and the
+    /// snapshot's region memo.
     fn finish_edit(&mut self, next: ArrangementSnapshot, outcome: &EditOutcome) {
         let next = Arc::new(next);
         self.shared.register(&next);
@@ -663,7 +670,7 @@ impl<M: InfluenceMeasure> Session<M> {
             // regions — only the facility bookkeeping changed.
             return;
         }
-        *self.regions.get_mut().unwrap_or_else(|e| e.into_inner()) = RegionsCache::default();
+        *self.regions.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
         // Tiles only exist once some session initialized the tile
         // scheme; before that there is nothing to propagate (and the
         // scheme stays free to snap to a later, post-edit extent).
@@ -1019,5 +1026,62 @@ impl<M: IncrementalMeasure + Sync> Session<M> {
             }
         }
         TileFrame { raster: self.tile(id), approx: false, error_bound: 0.0 }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::HeatMapBuilder;
+    use rnnhm_core::measure::CountMeasure;
+
+    /// A dropped branch takes its LoD pyramid with it: both registry
+    /// prunes (the periodic one in `register` and `gc()`) drop every
+    /// `lod` entry whose fingerprint no live snapshot has.
+    #[test]
+    fn lod_entries_die_with_their_snapshots() {
+        let span = Rect::new(0.0, 10.0, 0.0, 10.0);
+        let (clients, facilities) =
+            (rnnhm_data::uniform(350, span, 11), rnnhm_data::uniform(45, span, 13));
+        let engine = HeatMapBuilder::bichromatic(clients, facilities)
+            .metric(rnnhm_geom::Metric::Linf)
+            .tile_px(16)
+            .lod_exact_zoom(2)
+            .build_engine(CountMeasure)
+            .expect("valid instance");
+        let coarse = TileId { zoom: 0, tx: 0, ty: 0 };
+        let root = engine.session();
+        assert!(root.tile_lod(coarse).approx, "zoom 0 is served from the pyramid");
+        let lod_fps = || engine.shared.lod.lock().unwrap().keys().copied().collect::<Vec<u64>>();
+        // Five forks each edit, serve a coarse tile and die.
+        let dead_forks = |seed: u64| -> Vec<u64> {
+            rnnhm_data::uniform(5, span, seed)
+                .into_iter()
+                .map(|site| {
+                    let mut fork = root.fork();
+                    fork.add_facility(site).expect("bichromatic");
+                    assert!(fork.tile_lod(coarse).approx);
+                    fork.fingerprint()
+                })
+                .collect()
+        };
+
+        let dead = dead_forks(17);
+        assert_eq!(lod_fps().len(), 6, "the root's pyramid plus five dead forks'");
+        // Commit past the prune cadence on one editor: the periodic
+        // prune in `register` drops the dead forks' pyramids.
+        let mut editor = root.fork();
+        for i in 0..REGISTRY_PRUNE_EVERY {
+            editor.add_facility(Point::new(5.0 + 0.01 * i as f64, 5.0)).expect("bichromatic");
+        }
+        let held = lod_fps();
+        assert!(dead.iter().all(|fp| !held.contains(fp)), "periodic prune left {held:?}");
+
+        let dead = dead_forks(19);
+        assert!(dead.iter().all(|fp| lod_fps().contains(fp)));
+        drop(editor);
+        let stats = engine.gc();
+        assert_eq!(stats.live, 1, "only the root is alive: {stats:?}");
+        assert_eq!(lod_fps(), vec![root.fingerprint()], "gc() keeps only the root's pyramid");
     }
 }

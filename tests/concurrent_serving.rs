@@ -10,8 +10,11 @@
 //! exact snapshot it rendered from (an `Arc` clone), so the check is
 //! exact, not probabilistic.
 
+mod common;
+
 use std::sync::{Arc, Barrier, Mutex};
 
+use common::{placement_bits, region_bits, Counted};
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::{ExplorationEngine, HeatMapBuilder, Session};
 
@@ -282,4 +285,53 @@ fn cold_herd_renders_each_tile_once() {
         stats.insertions + stats.single_flight_dedups,
         "every miss either rendered or reused a concurrent render: {stats:?}"
     );
+}
+
+#[test]
+fn cold_herd_computes_each_region_answer_once() {
+    for threads in [1, 2, 8] {
+        region_answer_herd(threads);
+    }
+}
+
+/// `threads` forks of one cold snapshot, released together by a
+/// barrier, each ask `top_placements(3)` and `top_k(5)`. The snapshot's
+/// region memo lets exactly one of them compute each answer while the
+/// others wait for it: the herd's `influence` calls total those of one
+/// uncached computation, and every thread gets the same bits.
+fn region_answer_herd(threads: usize) {
+    let engine =
+        HeatMapBuilder::bichromatic(pseudo_points(1_500, 47, 1.0), pseudo_points(60, 53, 1.0))
+            .metric(Metric::Linf)
+            .build_engine(Counted::new(CountMeasure))
+            .expect("non-empty input");
+    let measure = engine.measure();
+    let snap = engine.root_snapshot();
+    let placements = PlacementQuery::new(snap, measure).top_placements(3);
+    let mut sink = TopKSink::with_bound(5, |rnn: &[u32]| measure.raw_upper_bound(rnn));
+    snap.sweep(measure, &mut sink);
+    let top = sink.into_top();
+    let uncached = measure.calls();
+    measure.reset();
+
+    let root = engine.session();
+    let barrier = Barrier::new(threads);
+    let answers: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let fork = root.fork();
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    (fork.top_placements(3), fork.top_k(5))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("herd thread")).collect()
+    });
+    assert_eq!(measure.calls(), uncached, "{threads} threads: each answer is computed once");
+    for (p, t) in &answers {
+        assert_eq!(placement_bits(p), placement_bits(&placements), "{threads} threads");
+        assert_eq!(region_bits(t), region_bits(&top), "{threads} threads");
+    }
 }

@@ -3,11 +3,21 @@
 //! no circles or candidate lists are cloned, asserted via
 //! shared-allocation pointer equality — and an edit's successor
 //! snapshot shares every untouched storage chunk with its parent.
+//!
+//! Region-memo contracts: every session, fork and `session_at` on one
+//! snapshot shares its top-k and placement answers, bit for bit, and
+//! computes each once (counted through the measure's `influence`
+//! calls); an edit's successor starts empty, a geometric no-op carries
+//! the memo, and answers never leak across `m`, `k` or measures.
 
+mod common;
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use common::{placement_bits, region_bits, Counted};
 use rnn_heatmap::prelude::*;
-use rnn_heatmap::HeatMapBuilder;
+use rnn_heatmap::{ExplorationEngine, HeatMapBuilder};
 
 /// Deterministic uniform points on the span (the library's own
 /// generator — `rnnhm_data::gen::uniform` — reused instead of a
@@ -181,4 +191,140 @@ fn registry_prunes_dead_entries_eagerly_and_reports_stats() {
     let _ = engine.snapshots();
     let after = engine.registry_stats();
     assert_eq!(after.entries, after.live, "snapshots() swept the dead entry");
+}
+
+/// The instance the region-memo tests ask about.
+fn memo_engine<M: InfluenceMeasure>(measure: M) -> ExplorationEngine<M> {
+    HeatMapBuilder::bichromatic(pseudo_points(600, 41, 1.0), pseudo_points(30, 43, 1.0))
+        .metric(Metric::Linf)
+        .build_engine(measure)
+        .expect("non-empty input")
+}
+
+#[test]
+fn region_answers_are_computed_once_per_snapshot() {
+    let engine = memo_engine(Counted::new(CountMeasure));
+    let measure = engine.measure();
+    let session = engine.session();
+    let placements = session.top_placements(3);
+    let top = session.top_k(5);
+    let computed = measure.calls();
+    assert!(computed > 0, "the first asks compute");
+    let readers = [session.fork(), engine.session(), engine.session_at(session.snapshot().clone())];
+    for (i, reader) in readers.iter().enumerate() {
+        assert_eq!(placement_bits(&reader.top_placements(3)), placement_bits(&placements), "{i}");
+        assert_eq!(region_bits(&reader.top_k(5)), region_bits(&top), "reader {i}");
+    }
+    assert_eq!(measure.calls(), computed, "repeat asks on one snapshot compute nothing");
+    // The memo holds the uncached answers.
+    let query = PlacementQuery::new(session.snapshot(), measure);
+    assert_eq!(placement_bits(&query.top_placements(3)), placement_bits(&placements));
+    assert_eq!(region_bits(&top_k(&session.regions(), 5)), region_bits(&top));
+}
+
+#[test]
+fn an_edit_starts_an_empty_memo_and_leaves_the_parent_s() {
+    let engine = memo_engine(Counted::new(CountMeasure));
+    let measure = engine.measure();
+    let mut session = engine.session();
+    let parent_placements = session.top_placements(3);
+    let parent_top = session.top_k(5);
+    let parent = session.fork();
+    // A facility on the best placement takes its clients, so the
+    // successor's answers differ from the parent's.
+    let (_, dirty) = session.add_facility(parent_placements[0].point).unwrap();
+    assert!(!dirty.is_empty());
+
+    let before = measure.calls();
+    let placements = session.top_placements(3);
+    let top = session.top_k(5);
+    assert!(measure.calls() > before, "the successor's memo starts empty");
+    assert_ne!(placement_bits(&placements), placement_bits(&parent_placements));
+    let query = PlacementQuery::new(session.snapshot(), measure);
+    assert_eq!(placement_bits(&placements), placement_bits(&query.top_placements(3)));
+    assert_eq!(region_bits(&top), region_bits(&top_k(&session.regions(), 5)));
+
+    let before = measure.calls();
+    assert_eq!(placement_bits(&parent.top_placements(3)), placement_bits(&parent_placements));
+    assert_eq!(region_bits(&parent.top_k(5)), region_bits(&parent_top));
+    assert_eq!(measure.calls(), before, "a fork left on the parent reads the parent's memo");
+}
+
+#[test]
+fn a_geometric_noop_edit_carries_the_memo() {
+    let engine = memo_engine(Counted::new(CountMeasure));
+    let mut session = engine.session();
+    let placements = session.top_placements(3);
+    let top = session.top_k(5);
+    let before = engine.measure().calls();
+    let (_, dirty) = session.add_facility(Point::new(500.0, 500.0)).unwrap();
+    assert!(dirty.is_empty(), "a far facility takes no client");
+    assert_eq!(placement_bits(&session.top_placements(3)), placement_bits(&placements));
+    assert_eq!(region_bits(&session.top_k(5)), region_bits(&top));
+    assert_eq!(engine.measure().calls(), before, "the no-op successor reads the carried memo");
+}
+
+#[test]
+fn each_m_and_k_gets_its_own_answer() {
+    let engine = memo_engine(CountMeasure);
+    let session = engine.session();
+    let query = PlacementQuery::new(session.snapshot(), &CountMeasure);
+    for m in [3, 5, 3, 1] {
+        let want = placement_bits(&query.top_placements(m));
+        assert_eq!(placement_bits(&session.top_placements(m)), want, "m = {m}");
+    }
+    let regions = session.regions();
+    for k in [3, 5, 8, 1] {
+        assert_eq!(region_bits(&session.top_k(k)), region_bits(&top_k(&regions, k)), "k = {k}");
+    }
+}
+
+#[test]
+fn a_smaller_k_is_a_prefix_of_the_memo() {
+    let engine = memo_engine(Counted::new(CountMeasure));
+    let session = engine.session();
+    let top = session.top_k(5);
+    assert_eq!(top.len(), 5);
+    let before = engine.measure().calls();
+    assert_eq!(region_bits(&session.top_k(3)), region_bits(&top[..3]));
+    assert_eq!(region_bits(&session.fork().top_k(2)), region_bits(&top[..2]));
+    assert_eq!(engine.measure().calls(), before, "a smaller k reads the held answer");
+}
+
+#[test]
+fn engines_with_different_measures_do_not_share_answers() {
+    let count = memo_engine(CountMeasure);
+    let session = count.session();
+    let count_placements = session.top_placements(3);
+    let count_top = session.top_k(5);
+    let weights: Vec<f64> = (0..600).map(|i| 0.1 + (i % 7) as f64 * 0.35).collect();
+    let weighted = memo_engine(WeightedMeasure::new(weights));
+    let at = weighted.session_at(session.snapshot().clone());
+    let placements = at.top_placements(3);
+    let top = at.top_k(5);
+    let query = PlacementQuery::new(session.snapshot(), weighted.measure());
+    assert_eq!(placement_bits(&placements), placement_bits(&query.top_placements(3)));
+    assert_eq!(region_bits(&top), region_bits(&top_k(&at.regions(), 5)));
+    assert_ne!(placement_bits(&placements), placement_bits(&count_placements));
+    assert_ne!(region_bits(&top), region_bits(&count_top));
+}
+
+#[test]
+fn a_panicking_first_ask_leaves_the_key_empty() {
+    let engine = memo_engine(Counted::panicking(CountMeasure));
+    let session = engine.session();
+    let placements = PlacementQuery::new(session.snapshot(), &CountMeasure).top_placements(3);
+    let mut sink = CollectSink::default();
+    session.snapshot().sweep(&CountMeasure, &mut sink);
+    let top = top_k(&sink.regions, 5);
+
+    assert!(catch_unwind(AssertUnwindSafe(|| session.top_placements(3))).is_err());
+    assert_eq!(placement_bits(&session.top_placements(3)), placement_bits(&placements));
+    engine.measure().reset();
+    assert!(catch_unwind(AssertUnwindSafe(|| session.top_k(5))).is_err());
+    // The key left empty is k = 5, so a smaller ask computes it whole.
+    assert_eq!(region_bits(&session.top_k(3)), region_bits(&top[..3]));
+    let before = engine.measure().calls();
+    assert_eq!(region_bits(&session.top_k(5)), region_bits(&top));
+    assert_eq!(engine.measure().calls(), before, "k = 5 was computed by the k = 3 ask");
 }
