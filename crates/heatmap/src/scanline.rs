@@ -35,15 +35,25 @@
 //!    (one per core, shaped by `rnnhm_core::parallel::chunk_ranges`)
 //!    render concurrently on scoped threads, each writing its own
 //!    disjoint slice of the raster buffer.
+//! 5. **Straight to a tile payload.** One band renderer serves every
+//!    output: it hands each row to a row sink as pieces of one value,
+//!    as a prefix sum of the additive path's difference array, or as a
+//!    copy of an earlier row. The dense sink fills a raster slice; the
+//!    payload sink ([`rasterize_squares_payload`],
+//!    [`rasterize_disks_payload`], single band) passes the same rows
+//!    to [`crate::quant`]'s builder as runs and repeats, so a tile miss
+//!    never writes a dense tile nor reads one back to encode it. The
+//!    additive path marks a row where no shape starts or ends as a
+//!    repeat without computing it.
 //!
 //! The cost drops to `O(Σ_shapes rows(shape) + P)` with tiny constants
 //! — per-pixel work is a plain memory fill (`slice::fill` /
-//! `copy_within`, both of which lower to vectorized intrinsics), and
-//! per-row bookkeeping for the L∞ workhorse is proportional to the
-//! shapes *changing* across the batch, not all active shapes. Event
-//! scratch lives in a thread-local arena reused across rows, batches,
-//! and whole tile renders, so steady-state serving allocates nothing
-//! per row.
+//! `copy_within`, both of which lower to vectorized intrinsics), or
+//! none at all for a payload's repeated rows, and per-row bookkeeping
+//! for the L∞ workhorse is proportional to the shapes *changing* across
+//! the batch, not all active shapes. Event scratch lives in a
+//! thread-local arena reused across rows, batches, and whole tile
+//! renders, so steady-state serving allocates nothing per row.
 //!
 //! ## Exactness
 //!
@@ -63,6 +73,7 @@
 //!
 //! [`remove`]: IncrementalMeasure::remove
 
+use std::ops::Range;
 use std::thread;
 
 use rnnhm_core::arrangement::{CoordSpace, DiskArrangement, SquareArrangement};
@@ -72,6 +83,7 @@ use rnnhm_geom::eps::EPS;
 use rnnhm_geom::{Circle, Point, Rect};
 use rnnhm_index::interval::Interval;
 
+use crate::quant::{RowsBuilder, TilePayload};
 use crate::raster::{GridSpec, HeatRaster};
 
 /// Base pixels of slack added around arithmetic span estimates before
@@ -487,26 +499,101 @@ fn merge_events(base: &[u64], extras: &[u64], out: &mut Vec<u64>) {
     out.extend_from_slice(&base[b..]);
 }
 
-/// Sweeps one row: fills `row_values[0..width]` run by run, applying
-/// enter/leave events and asking the measure for the value once per run.
+/// Where a band renderer puts its rows, which it produces in order.
+/// Each row arrives whole: as a copy of an earlier row of the band, as
+/// a prefix sum of the additive path's difference array, or as
+/// left-to-right pieces of one value that end at the width.
+trait RowOut {
+    /// Row `row` is bitwise the earlier row `src`.
+    fn copy_row(&mut self, src: usize, row: usize);
+
+    /// Row `row` is the running sum of `background` and `diff`'s first
+    /// `width` entries, added in column order.
+    fn prefix_row(&mut self, row: usize, background: f64, diff: &[f64]);
+
+    /// Columns `cols` of row `row` hold `v`.
+    fn fill(&mut self, row: usize, cols: Range<usize>, v: f64);
+}
+
+/// The rows of one band as dense pixels: `slice` holds rows
+/// `first..`, `width` pixels each.
+struct DenseRows<'a> {
+    slice: &'a mut [f64],
+    first: usize,
+    width: usize,
+}
+
+impl RowOut for DenseRows<'_> {
+    #[inline]
+    fn copy_row(&mut self, src: usize, row: usize) {
+        let (w, src) = (self.width, (src - self.first) * self.width);
+        self.slice.copy_within(src..src + w, (row - self.first) * w);
+    }
+
+    fn prefix_row(&mut self, row: usize, background: f64, diff: &[f64]) {
+        let at = (row - self.first) * self.width;
+        let mut acc = background;
+        for (out, &d) in self.slice[at..at + self.width].iter_mut().zip(diff) {
+            acc += d;
+            *out = acc;
+        }
+    }
+
+    #[inline]
+    fn fill(&mut self, row: usize, cols: Range<usize>, v: f64) {
+        let at = (row - self.first) * self.width;
+        self.slice[at + cols.start..at + cols.end].fill(v);
+    }
+}
+
+/// The rows of a whole tile as runs, straight into its payload.
+impl RowOut for RowsBuilder {
+    #[inline]
+    fn copy_row(&mut self, src: usize, _row: usize) {
+        RowsBuilder::copy_row(self, src);
+    }
+
+    fn prefix_row(&mut self, _row: usize, background: f64, diff: &[f64]) {
+        let width = self.width();
+        let mut acc = background + diff[0];
+        let mut bits = acc.to_bits();
+        for (col, &d) in diff[1..width].iter().enumerate() {
+            acc += d;
+            if acc.to_bits() != bits {
+                self.run(col + 1, bits);
+                bits = acc.to_bits();
+            }
+        }
+        self.run(width, bits);
+    }
+
+    #[inline]
+    fn fill(&mut self, _row: usize, cols: Range<usize>, v: f64) {
+        self.run(cols.end, v.to_bits());
+    }
+}
+
+/// Sweeps row `row`: hands `out` the row piece by piece, applying
+/// enter/leave events and asking the measure for the value once per
+/// piece.
 ///
 /// The events must be column-sorted balanced enter/leave pairs; the
 /// state is returned to its initial (empty) value by the trailing
 /// leave events, letting the worker reuse it across rows.
-fn sweep_row<M: IncrementalMeasure>(
+fn sweep_row<M: IncrementalMeasure, O: RowOut>(
     measure: &M,
     state: &mut M::State,
     events: &[u64],
-    row_values: &mut [f64],
+    row: usize,
+    width: usize,
+    out: &mut O,
 ) {
-    let width = row_values.len();
     let mut cur = 0usize;
     let mut i = 0usize;
     while i < events.len() {
         let col = event_col(events[i]);
         if col > cur {
-            let v = measure.current(state);
-            row_values[cur..col].fill(v);
+            out.fill(row, cur..col, measure.current(state));
             cur = col;
         }
         while i < events.len() && event_col(events[i]) == col {
@@ -520,169 +607,170 @@ fn sweep_row<M: IncrementalMeasure>(
         }
     }
     if cur < width {
-        let v = measure.current(state);
-        row_values[cur..width].fill(v);
+        out.fill(row, cur..width, measure.current(state));
     }
 }
 
-/// Renders `shapes` onto `grid` with `n_bands` row bands, returning
-/// the row-major values.
-fn rasterize_scanline<S: RowShape, M: IncrementalMeasure + Sync>(
-    shapes: &[S],
-    measure: &M,
-    grid: &Grid,
-    n_bands: usize,
-) -> Vec<f64> {
-    let (w, h) = (grid.spec.width, grid.spec.height);
-    let mut values = vec![0.0f64; w * h];
+/// A CSR index of shapes by row: the shapes of row `r` are
+/// `ids[off[r]..off[r + 1]]` (one flat array plus row offsets, not a
+/// Vec per row — a tile render makes zero per-row allocations).
+struct RowIndex {
+    off: Vec<u32>,
+    ids: Vec<u32>,
+}
 
-    // Bucket shapes by the first row they can touch; remember the last.
-    // `row_range[i]` is the (possibly conservative) row range of shape
-    // i, with an inverted sentinel for shapes missing the grid. The
-    // buckets are a CSR index (one flat array plus row offsets), not a
-    // Vec per row — a tile render makes zero per-row allocations.
-    let mut row_range: Vec<(u32, u32)> = Vec::with_capacity(shapes.len());
-    let mut starts_off: Vec<u32> = vec![0; h + 1];
-    for s in shapes.iter() {
-        match s.rows(grid) {
-            Some((r0, r1)) => {
-                row_range.push((r0 as u32, r1 as u32));
-                starts_off[r0 + 1] += 1;
-            }
-            None => row_range.push((1, 0)),
-        }
-    }
-    for r in 0..h {
-        starts_off[r + 1] += starts_off[r];
-    }
-    let mut starts: Vec<u32> = vec![0; starts_off[h] as usize];
-    let mut cursor: Vec<u32> = starts_off[..h].to_vec();
-    for (i, &(r0, r1)) in row_range.iter().enumerate() {
-        if r0 <= r1 {
-            let c = &mut cursor[r0 as usize];
-            starts[*c as usize] = i as u32;
-            *c += 1;
-        }
-    }
-    drop(cursor);
-    let starts_at = |row: usize| &starts[starts_off[row] as usize..starts_off[row + 1] as usize];
-
-    let bands = chunk_ranges(h, n_bands);
-
-    // Hand each band worker its disjoint slice of rows.
-    let mut slices: Vec<&mut [f64]> = Vec::with_capacity(bands.len());
-    let mut rest: &mut [f64] = &mut values;
-    for band in &bands {
-        let (head, tail) = rest.split_at_mut(band.len() * w);
-        slices.push(head);
-        rest = tail;
-    }
-
-    // Additive fast path: row-invariant shapes (precomputed constant
-    // spans) under a measure that is an exact order-independent sum of
-    // per-member deltas (see `IncrementalMeasure::additive_delta`)
-    // need no events and no sorting at all. Each band maintains one
-    // 1-D difference array across its rows — a shape adds `±delta` at
-    // its span edges when it starts and the negation when it expires —
-    // and every row is a prefix-sum fill. Per-row cost is
-    // `O(changed shapes) + O(width)`; rows with no membership change
-    // are bitwise copies of the previous row (`memcpy`).
-    // (An empty shape list would collect vacuously to `Some` for any
-    // measure — but e.g. the weighted measure's empty-sum identity is
-    // `-0.0`, which `acc += 0.0` would flip to `+0.0` — so the path
-    // also requires a shape whose measure actually opted in.)
-    let deltas: Option<Vec<f64>> = if S::ROW_INVARIANT && !shapes.is_empty() {
-        shapes.iter().map(|s| measure.additive_delta(s.owner())).collect()
-    } else {
-        None
-    };
-    if let Some(deltas) = &deltas {
-        // Shapes stop contributing at row `r1 + 1`; bucket them there
-        // (CSR, like `starts`). Shapes ending on the last row never
-        // need removal within any band.
-        let mut ends_off: Vec<u32> = vec![0; h + 1];
-        for &(r0, r1) in &row_range {
-            if r0 <= r1 && (r1 as usize) + 1 < h {
-                ends_off[r1 as usize + 2] += 1;
-            }
+impl RowIndex {
+    /// Files every shape `i` under `row_of(i)`, if any, in id order.
+    fn new(h: usize, n: usize, row_of: impl Fn(usize) -> Option<usize>) -> RowIndex {
+        let mut off: Vec<u32> = vec![0; h + 1];
+        for r in (0..n).filter_map(&row_of) {
+            off[r + 1] += 1;
         }
         for r in 0..h {
-            ends_off[r + 1] += ends_off[r];
+            off[r + 1] += off[r];
         }
-        let mut ends: Vec<u32> = vec![0; ends_off[h] as usize];
-        let mut ecur: Vec<u32> = ends_off[..h].to_vec();
-        for (i, &(r0, r1)) in row_range.iter().enumerate() {
-            if r0 <= r1 && (r1 as usize) + 1 < h {
-                let c = &mut ecur[r1 as usize + 1];
-                ends[*c as usize] = i as u32;
-                *c += 1;
+        let mut ids: Vec<u32> = vec![0; off[h] as usize];
+        let mut cursor: Vec<u32> = off[..h].to_vec();
+        for i in 0..n {
+            if let Some(r) = row_of(i) {
+                ids[cursor[r] as usize] = i as u32;
+                cursor[r] += 1;
             }
         }
-        drop(ecur);
-        let ends_at = |row: usize| &ends[ends_off[row] as usize..ends_off[row + 1] as usize];
-
-        let background = measure.current(&measure.new_state());
-        let render_band = |band: std::ops::Range<usize>, slice: &mut [f64]| {
-            let mut scratch = RowScratch::acquire(w);
-            let diff = &mut scratch.diff;
-            let apply = |diff: &mut [f64], i: usize, sign: f64| {
-                if let Some((lo, hi)) = shapes[i].span(grid, 0) {
-                    let d = sign * deltas[i];
-                    diff[lo as usize] += d;
-                    diff[hi as usize + 1] -= d;
-                }
-            };
-            for (i, &(r0, r1)) in row_range.iter().enumerate() {
-                if (r0 as usize) < band.start && band.start <= r1 as usize {
-                    apply(diff, i, 1.0);
-                }
-            }
-            let mut prev: Option<usize> = None;
-            for row in band.clone() {
-                let starting = starts_at(row);
-                let ending: &[u32] = if row > band.start { ends_at(row) } else { &[] };
-                for &i in starting {
-                    apply(diff, i as usize, 1.0);
-                }
-                for &i in ending {
-                    apply(diff, i as usize, -1.0);
-                }
-                let offset = (row - band.start) * w;
-                match prev {
-                    Some(src) if starting.is_empty() && ending.is_empty() => {
-                        slice.copy_within(src..src + w, offset);
-                    }
-                    _ => {
-                        let mut acc = background;
-                        for (out, &d) in slice[offset..offset + w].iter_mut().zip(diff.iter()) {
-                            acc += d;
-                            *out = acc;
-                        }
-                    }
-                }
-                prev = Some(offset);
-            }
-            scratch.release();
-        };
-        run_bands(&bands, slices, render_band);
-        return values;
+        RowIndex { off, ids }
     }
 
-    let render_band = |band: std::ops::Range<usize>, slice: &mut [f64]| {
-        // Shapes already active when the band starts.
-        let mut active: Vec<u32> = row_range
+    #[inline]
+    fn at(&self, row: usize) -> &[u32] {
+        &self.ids[self.off[row] as usize..self.off[row + 1] as usize]
+    }
+}
+
+/// What every band of one render shares: the shapes, their row ranges
+/// and the shapes bucketed by the row they start on.
+struct Plan<'a, S, M> {
+    shapes: &'a [S],
+    measure: &'a M,
+    grid: &'a Grid,
+    /// The (possibly conservative) row range of each shape, with an
+    /// inverted sentinel for shapes missing the grid.
+    row_range: Vec<(u32, u32)>,
+    /// Shapes by the first row they can touch.
+    starts: RowIndex,
+    /// The additive fast path's inputs, when it applies.
+    additive: Option<Additive>,
+}
+
+/// Additive fast path: row-invariant shapes (precomputed constant
+/// spans) under a measure that is an exact order-independent sum of
+/// per-member deltas (see `IncrementalMeasure::additive_delta`) need no
+/// events and no sorting at all. Each band maintains one 1-D
+/// difference array across its rows — a shape adds `±delta` at its
+/// span edges when it starts and the negation when it expires — and
+/// every row is a prefix sum. Per-row cost is `O(changed shapes) +
+/// O(width)`; rows with no membership change are bitwise copies of the
+/// previous row.
+struct Additive {
+    deltas: Vec<f64>,
+    /// Shapes by the row they stop contributing on (`r1 + 1`); shapes
+    /// ending on the last row never need removal within any band.
+    ends: RowIndex,
+    /// The measure's empty-set value.
+    background: f64,
+}
+
+impl<'a, S: RowShape, M: IncrementalMeasure + Sync> Plan<'a, S, M> {
+    fn new(shapes: &'a [S], measure: &'a M, grid: &'a Grid) -> Plan<'a, S, M> {
+        let h = grid.spec.height;
+        let row_range: Vec<(u32, u32)> = shapes
+            .iter()
+            .map(|s| s.rows(grid).map_or((1, 0), |(r0, r1)| (r0 as u32, r1 as u32)))
+            .collect();
+        let live = |i: usize| row_range[i].0 <= row_range[i].1;
+        let starts = RowIndex::new(h, shapes.len(), |i| live(i).then_some(row_range[i].0 as usize));
+        // (An empty shape list would collect vacuously to `Some` for any
+        // measure — but e.g. the weighted measure's empty-sum identity
+        // is `-0.0`, which `acc += 0.0` would flip to `+0.0` — so the
+        // path also requires a shape whose measure actually opted in.)
+        let deltas: Option<Vec<f64>> = if S::ROW_INVARIANT && !shapes.is_empty() {
+            shapes.iter().map(|s| measure.additive_delta(s.owner())).collect()
+        } else {
+            None
+        };
+        let additive = deltas.map(|deltas| Additive {
+            deltas,
+            ends: RowIndex::new(h, shapes.len(), |i| {
+                let end = row_range[i].1 as usize + 1;
+                (live(i) && end < h).then_some(end)
+            }),
+            background: measure.current(&measure.new_state()),
+        });
+        Plan { shapes, measure, grid, row_range, starts, additive }
+    }
+
+    /// Shapes that started above `band` and still cover its first row.
+    fn active_at(&self, band: &Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let start = band.start;
+        self.row_range
             .iter()
             .enumerate()
-            .filter(|&(_, &(r0, r1))| (r0 as usize) < band.start && band.start <= r1 as usize)
-            .map(|(i, _)| i as u32)
-            .collect();
-        let mut state = measure.new_state();
-        let mut scratch = RowScratch::acquire(w);
+            .filter(move |&(_, &(r0, r1))| (r0 as usize) < start && start <= r1 as usize)
+            .map(|(i, _)| i)
+    }
+
+    /// Renders rows `band` into `out`.
+    fn render_band<O: RowOut>(&self, band: Range<usize>, scratch: &mut RowScratch, out: &mut O) {
+        match &self.additive {
+            Some(add) => self.additive_band(add, band, &mut scratch.diff, out),
+            None => self.event_band(band, scratch, out),
+        }
+    }
+
+    /// The additive fast path over one band; see [`Additive`].
+    fn additive_band<O: RowOut>(
+        &self,
+        add: &Additive,
+        band: Range<usize>,
+        diff: &mut [f64],
+        out: &mut O,
+    ) {
+        let apply = |diff: &mut [f64], i: usize, sign: f64| {
+            if let Some((lo, hi)) = self.shapes[i].span(self.grid, 0) {
+                let d = sign * add.deltas[i];
+                diff[lo as usize] += d;
+                diff[hi as usize + 1] -= d;
+            }
+        };
+        for i in self.active_at(&band) {
+            apply(diff, i, 1.0);
+        }
+        for row in band.clone() {
+            let starting = self.starts.at(row);
+            let ending: &[u32] = if row > band.start { add.ends.at(row) } else { &[] };
+            for &i in starting {
+                apply(diff, i as usize, 1.0);
+            }
+            for &i in ending {
+                apply(diff, i as usize, -1.0);
+            }
+            if row > band.start && starting.is_empty() && ending.is_empty() {
+                out.copy_row(row - 1, row);
+            } else {
+                out.prefix_row(row, add.background, diff);
+            }
+        }
+    }
+
+    /// The event sweep over one band, in [`ROW_BATCH`]-row batches.
+    fn event_band<O: RowOut>(&self, band: Range<usize>, scratch: &mut RowScratch, out: &mut O) {
+        let (shapes, grid, w) = (self.shapes, self.grid, self.grid.spec.width);
+        let mut active: Vec<u32> = self.active_at(&band).map(|i| i as u32).collect();
+        let mut state = self.measure.new_state();
         let mut row = band.start;
         while row < band.end {
             let batch_end = (row + ROW_BATCH).min(band.end);
             for r in row..batch_end {
-                active.extend_from_slice(starts_at(r));
+                active.extend_from_slice(self.starts.at(r));
             }
             // Classify the active set once per batch: shapes covering
             // every batch row with a row-invariant span go into the
@@ -695,7 +783,7 @@ fn rasterize_scanline<S: RowShape, M: IncrementalMeasure + Sync>(
             let mut k = 0;
             while k < active.len() {
                 let i = active[k] as usize;
-                let (r0, r1) = row_range[i];
+                let (r0, r1) = self.row_range[i];
                 if (r1 as usize) < row {
                     active.swap_remove(k);
                     continue;
@@ -712,15 +800,14 @@ fn rasterize_scanline<S: RowShape, M: IncrementalMeasure + Sync>(
                 k += 1;
             }
             sort_events(&mut scratch.counts, &scratch.raw, &mut scratch.base);
-            // Slice offset of a row already swept with exactly the
-            // base events: any later base-only row of this batch is
-            // its bitwise copy.
+            // A row already swept with exactly the base events: any
+            // later base-only row of this batch is its bitwise copy.
             let mut base_row: Option<usize> = None;
             for r in row..batch_end {
                 scratch.raw.clear();
                 for &pi in &scratch.partial {
                     let i = pi as usize;
-                    let (r0, r1) = row_range[i];
+                    let (r0, r1) = self.row_range[i];
                     if (r0 as usize) <= r && r <= r1 as usize {
                         if let Some((lo, hi)) = shapes[i].span(grid, r) {
                             let owner = shapes[i].owner();
@@ -729,18 +816,12 @@ fn rasterize_scanline<S: RowShape, M: IncrementalMeasure + Sync>(
                         }
                     }
                 }
-                let offset = (r - band.start) * w;
                 if scratch.raw.is_empty() {
                     if let Some(src) = base_row {
-                        slice.copy_within(src..src + w, offset);
+                        out.copy_row(src, r);
                     } else {
-                        sweep_row(
-                            measure,
-                            &mut state,
-                            &scratch.base,
-                            &mut slice[offset..offset + w],
-                        );
-                        base_row = Some(offset);
+                        sweep_row(self.measure, &mut state, &scratch.base, r, w, out);
+                        base_row = Some(r);
                     }
                 } else {
                     sort_events(&mut scratch.counts, &scratch.raw, &mut scratch.extras);
@@ -750,22 +831,63 @@ fn rasterize_scanline<S: RowShape, M: IncrementalMeasure + Sync>(
                         merge_events(&scratch.base, &scratch.extras, &mut scratch.merged);
                         &scratch.merged
                     };
-                    sweep_row(measure, &mut state, events, &mut slice[offset..offset + w]);
+                    sweep_row(self.measure, &mut state, events, r, w, out);
                 }
             }
             row = batch_end;
         }
-        scratch.release();
-    };
+    }
+}
 
-    run_bands(&bands, slices, render_band);
+/// Renders `shapes` onto `grid` with `n_bands` row bands, returning
+/// the row-major values.
+fn rasterize_scanline<S: RowShape, M: IncrementalMeasure + Sync>(
+    shapes: &[S],
+    measure: &M,
+    grid: &Grid,
+    n_bands: usize,
+) -> Vec<f64> {
+    let (w, h) = (grid.spec.width, grid.spec.height);
+    let mut values = vec![0.0f64; w * h];
+    let plan = Plan::new(shapes, measure, grid);
+    let bands = chunk_ranges(h, n_bands);
+    // Hand each band worker its disjoint slice of rows.
+    let mut slices: Vec<&mut [f64]> = Vec::with_capacity(bands.len());
+    let mut rest: &mut [f64] = &mut values;
+    for band in &bands {
+        let (head, tail) = rest.split_at_mut(band.len() * w);
+        slices.push(head);
+        rest = tail;
+    }
+    run_bands(&bands, slices, |band: Range<usize>, slice: &mut [f64]| {
+        let mut scratch = RowScratch::acquire(w);
+        let mut out = DenseRows { slice, first: band.start, width: w };
+        plan.render_band(band, &mut scratch, &mut out);
+        scratch.release();
+    });
     values
+}
+
+/// Renders `shapes` onto `grid` in one band, straight into a tile
+/// payload: rows go to a [`RowsBuilder`] as runs, and rows the sweep
+/// knows to repeat as copies, so no dense tile is ever written.
+fn scanline_payload<S: RowShape, M: IncrementalMeasure + Sync>(
+    shapes: &[S],
+    measure: &M,
+    grid: &Grid,
+) -> TilePayload {
+    let plan = Plan::new(shapes, measure, grid);
+    let mut scratch = RowScratch::acquire(grid.spec.width);
+    let mut rows = RowsBuilder::new(grid.spec);
+    plan.render_band(0..grid.spec.height, &mut scratch, &mut rows);
+    scratch.release();
+    rows.finish()
 }
 
 /// Runs one band renderer per slice: inline for a single band, scoped
 /// threads otherwise (each worker owns a disjoint slice of the raster).
-fn run_bands<F: Fn(std::ops::Range<usize>, &mut [f64]) + Sync>(
-    bands: &[std::ops::Range<usize>],
+fn run_bands<F: Fn(Range<usize>, &mut [f64]) + Sync>(
+    bands: &[Range<usize>],
     slices: Vec<&mut [f64]>,
     render_band: F,
 ) {
@@ -800,6 +922,36 @@ fn band_count(h: usize, cores: usize) -> usize {
     cores.min(h / MIN_ROWS_PER_BAND).max(1)
 }
 
+/// The shapes of a square arrangement on one grid: L∞ squares as
+/// exact pixel footprints, or L1 squares in the rotated sweep frame.
+enum SquareShapes {
+    Axis(Vec<AxisSquare>),
+    Rotated(Vec<RotSquare>),
+}
+
+impl SquareShapes {
+    fn of(arr: &SquareArrangement, grid: &Grid) -> SquareShapes {
+        let owned = arr.squares.iter().zip(&arr.owners);
+        match arr.space {
+            CoordSpace::Identity => SquareShapes::Axis(
+                owned.filter_map(|(rect, &owner)| AxisSquare::build(rect, owner, grid)).collect(),
+            ),
+            CoordSpace::Rotated45 => SquareShapes::Rotated(
+                owned.map(|(&rect, &owner)| RotSquare { rect, owner }).collect(),
+            ),
+        }
+    }
+}
+
+/// The disks of an arrangement (L2).
+fn disk_shapes(arr: &DiskArrangement) -> Vec<DiskShape> {
+    arr.disks
+        .iter()
+        .zip(&arr.owners)
+        .map(|(&disk, &owner)| DiskShape { disk, bbox: disk.bbox(), owner })
+        .collect()
+}
+
 /// Scanline rasterization of a square arrangement (L∞ or rotated L1),
 /// row-parallel across all cores. Default path behind
 /// [`crate::compute::rasterize_squares`].
@@ -821,27 +973,29 @@ pub fn rasterize_squares_scanline_bands<M: IncrementalMeasure + Sync>(
     n_bands: usize,
 ) -> HeatRaster {
     let grid = Grid { spec };
-    let values = match arr.space {
-        CoordSpace::Identity => {
-            let shapes: Vec<AxisSquare> = arr
-                .squares
-                .iter()
-                .zip(&arr.owners)
-                .filter_map(|(rect, &owner)| AxisSquare::build(rect, owner, &grid))
-                .collect();
-            rasterize_scanline(&shapes, measure, &grid, n_bands)
-        }
-        CoordSpace::Rotated45 => {
-            let shapes: Vec<RotSquare> = arr
-                .squares
-                .iter()
-                .zip(&arr.owners)
-                .map(|(&rect, &owner)| RotSquare { rect, owner })
-                .collect();
-            rasterize_scanline(&shapes, measure, &grid, n_bands)
-        }
+    let values = match SquareShapes::of(arr, &grid) {
+        SquareShapes::Axis(shapes) => rasterize_scanline(&shapes, measure, &grid, n_bands),
+        SquareShapes::Rotated(shapes) => rasterize_scanline(&shapes, measure, &grid, n_bands),
     };
     HeatRaster::from_values(spec, values)
+}
+
+/// A single-band scanline render of a square arrangement straight into
+/// a tile payload — the tile-miss path. Bitwise the payload
+/// [`TilePayload::encode`] makes of
+/// [`rasterize_squares_scanline_bands`]`(arr, measure, spec, 1)`, but
+/// no dense raster is written: each row goes to the payload as its
+/// runs, or as a copy where the sweep knows it repeats.
+pub fn rasterize_squares_payload<M: IncrementalMeasure + Sync>(
+    arr: &SquareArrangement,
+    measure: &M,
+    spec: GridSpec,
+) -> TilePayload {
+    let grid = Grid { spec };
+    match SquareShapes::of(arr, &grid) {
+        SquareShapes::Axis(shapes) => scanline_payload(&shapes, measure, &grid),
+        SquareShapes::Rotated(shapes) => scanline_payload(&shapes, measure, &grid),
+    }
 }
 
 /// Scanline rasterization of a disk arrangement (L2), row-parallel
@@ -863,14 +1017,17 @@ pub fn rasterize_disks_scanline_bands<M: IncrementalMeasure + Sync>(
     spec: GridSpec,
     n_bands: usize,
 ) -> HeatRaster {
-    let shapes: Vec<DiskShape> = arr
-        .disks
-        .iter()
-        .zip(&arr.owners)
-        .map(|(&disk, &owner)| DiskShape { disk, bbox: disk.bbox(), owner })
-        .collect();
-    let values = rasterize_scanline(&shapes, measure, &Grid { spec }, n_bands);
+    let values = rasterize_scanline(&disk_shapes(arr), measure, &Grid { spec }, n_bands);
     HeatRaster::from_values(spec, values)
+}
+
+/// [`rasterize_squares_payload`] for a disk arrangement (L2).
+pub fn rasterize_disks_payload<M: IncrementalMeasure + Sync>(
+    arr: &DiskArrangement,
+    measure: &M,
+    spec: GridSpec,
+) -> TilePayload {
+    scanline_payload(&disk_shapes(arr), measure, &Grid { spec })
 }
 
 #[cfg(test)]

@@ -1053,7 +1053,7 @@ impl TileCache {
         R: Into<TilePayload>,
         F: Fn(TileId, GridSpec) -> R + Sync,
     {
-        self.fetch_inner(arrangement, measure, scheme, ids, None, render)
+        self.fetch_inner(arrangement, measure, scheme, ids, None, effective_parallelism, render)
             .expect("a fetch without a deadline always completes")
     }
 
@@ -1079,9 +1079,16 @@ impl TileCache {
         R: Into<TilePayload>,
         F: Fn(TileId, GridSpec) -> R + Sync,
     {
-        self.fetch_inner(arrangement, measure, scheme, ids, Some(deadline), render)
+        let workers = effective_parallelism;
+        self.fetch_inner(arrangement, measure, scheme, ids, Some(deadline), workers, render)
     }
 
+    /// The fetch behind every public one, rendering the tiles it leads
+    /// on up to `workers()` threads (inline for one). The count is asked
+    /// only when something misses: `effective_parallelism` reads the
+    /// affinity mask and cgroup quota on every call, about 14 µs on a
+    /// 2-core VM, which an all-hit fetch must not pay.
+    #[allow(clippy::too_many_arguments)]
     fn fetch_inner<R, F>(
         &self,
         arrangement: u64,
@@ -1089,6 +1096,7 @@ impl TileCache {
         scheme: &TileScheme,
         ids: &[TileId],
         deadline: Option<Instant>,
+        workers: impl FnOnce() -> usize,
         render: F,
     ) -> Option<Vec<Arc<TilePayload>>>
     where
@@ -1142,7 +1150,7 @@ impl TileCache {
                     guard.complete(payload.clone());
                     (i, Some(payload))
                 };
-            let workers = effective_parallelism().min(leaders.len());
+            let workers = workers().min(leaders.len());
             let rendered: Vec<(usize, Option<Arc<TilePayload>>)> = if workers <= 1 {
                 leaders.into_iter().map(render_one).collect()
             } else {
@@ -1419,9 +1427,12 @@ impl TileCache {
             .map(|&tile| scheme.tile_extent(tile))
             .reduce(|a, b| a.union(&b));
         let base = missing_union.map(|u| (u, make_base(u)));
-        self.fetch_inner(arrangement, measure, scheme, ids, deadline, |id, spec| match &base {
-            Some((u, b)) if u.contains_rect(&spec.extent) => render(b, id, spec),
-            _ => render(&make_base(spec.extent), id, spec),
+        let workers = effective_parallelism;
+        self.fetch_inner(arrangement, measure, scheme, ids, deadline, workers, |id, spec| {
+            match &base {
+                Some((u, b)) if u.contains_rect(&spec.extent) => render(b, id, spec),
+                _ => render(&make_base(spec.extent), id, spec),
+            }
         })
     }
 }
@@ -1430,6 +1441,73 @@ impl TileCache {
 mod tests {
     use super::*;
     use rnnhm_geom::Point;
+
+    #[test]
+    fn tile_misses_fan_out_alike_at_1_2_and_8_workers() {
+        use crate::scanline::{rasterize_squares_payload, rasterize_squares_scanline_bands};
+        use rnnhm_core::arrangement::{CoordSpace, SquareArrangement};
+        use rnnhm_core::measure::CountMeasure;
+
+        // 80 overlapping squares from a fixed LCG over [0, 10]².
+        let mut state = 0x0007_11e5_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64) / ((1u64 << 53) as f64)
+        };
+        let squares: Vec<Rect> = (0..80)
+            .map(|_| Rect::centered(Point::new(10.0 * next(), 10.0 * next()), 0.3 + 1.5 * next()))
+            .collect();
+        let n = squares.len();
+        let owners = (0..n as u32).collect();
+        let space = CoordSpace::Identity;
+        let arr = SquareArrangement { squares, owners, space, n_clients: n, dropped: 0, k: 1 };
+        let scheme = TileScheme::for_extent(Rect::new(0.0, 10.0, 0.0, 10.0), 32);
+        let view = scheme.viewport(Rect::new(0.7, 9.1, 1.3, 8.6), 150, 130);
+        let mut want_ids = view.tiles().to_vec();
+        want_ids.sort_unstable();
+        assert!(want_ids.len() >= 16, "a multi-tile viewport: {} tiles", want_ids.len());
+        let one_shot = rasterize_squares_scanline_bands(&arr, &CountMeasure, view.spec(), 1);
+
+        let mut first: Option<Vec<Arc<TilePayload>>> = None;
+        for workers in [1, 2, 8] {
+            let cache = TileCache::new(64 << 20);
+            let rendered = Mutex::new(Vec::new());
+            let tiles = cache
+                .fetch_inner(
+                    7,
+                    0,
+                    &scheme,
+                    view.tiles(),
+                    None,
+                    || workers,
+                    |id, spec| {
+                        rendered.lock().unwrap().push(id);
+                        rasterize_squares_payload(&arr, &CountMeasure, spec)
+                    },
+                )
+                .expect("no deadline");
+            let mut ids = rendered.into_inner().unwrap();
+            ids.sort_unstable();
+            assert_eq!(ids, want_ids, "{workers} workers: each tile rendered exactly once");
+            let frame = view.stitch(&scheme, &tiles);
+            assert_eq!(frame.spec, one_shot.spec);
+            assert!(
+                frame
+                    .values()
+                    .iter()
+                    .zip(one_shot.values())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{workers} workers: stitched frame ≠ one-shot render"
+            );
+            match &first {
+                None => first = Some(tiles),
+                Some(base) => {
+                    let equal = base.iter().zip(&tiles).all(|(a, b)| **a == **b);
+                    assert!(equal, "{workers} workers: payloads differ from 1 worker's");
+                }
+            }
+        }
+    }
 
     fn scheme() -> TileScheme {
         TileScheme::for_extent(Rect::new(0.1, 9.3, 0.4, 7.9), 16)

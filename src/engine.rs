@@ -81,7 +81,10 @@ use rnnhm_heatmap::compute::{rasterize_disks, rasterize_squares};
 use rnnhm_heatmap::mipmap::HeatMipmap;
 use rnnhm_heatmap::quant::TilePayload;
 use rnnhm_heatmap::raster::{GridSpec, HeatRaster};
-use rnnhm_heatmap::scanline::{rasterize_disks_scanline_bands, rasterize_squares_scanline_bands};
+use rnnhm_heatmap::scanline::{
+    rasterize_disks_payload, rasterize_disks_scanline_bands, rasterize_squares_payload,
+    rasterize_squares_scanline_bands,
+};
 use rnnhm_heatmap::tiles::{CacheStats, Preview, TileCache, TileId, TileScheme};
 
 /// Registry prune cadence: dead snapshot weak-refs are swept every
@@ -783,7 +786,8 @@ struct RestrictedBase<'a, M> {
 
 impl<M: IncrementalMeasure + Sync> RestrictedBase<'_, M> {
     /// Restricts to the tile's extent and renders it single-band
-    /// (viewports parallelize *across* tiles, not within them).
+    /// (viewports parallelize *across* tiles, not within them) — the
+    /// dense raster the LoD pyramid averages.
     fn render(&self, spec: GridSpec) -> HeatRaster {
         match &self.arrangement {
             RestrictedArrangement::Square(arr) => {
@@ -797,11 +801,19 @@ impl<M: IncrementalMeasure + Sync> RestrictedBase<'_, M> {
         }
     }
 
-    /// [`RestrictedBase::render`] followed by payload encoding into
-    /// the compact row form (or raw pixels where that is not smaller).
-    /// The encoding is lossless by construction.
+    /// The cache's form of the same render: the scanline writes the
+    /// compact row payload directly (or raw pixels where that is not
+    /// smaller), bitwise what [`TilePayload::encode`] makes of
+    /// [`RestrictedBase::render`], with no dense tile in between.
     fn render_payload(&self, spec: GridSpec) -> TilePayload {
-        TilePayload::encode(self.render(spec), self.measure.integral_influence())
+        match &self.arrangement {
+            RestrictedArrangement::Square(arr) => {
+                rasterize_squares_payload(&arr.restrict_to(spec.extent), self.measure, spec)
+            }
+            RestrictedArrangement::Disk(arr) => {
+                rasterize_disks_payload(&arr.restrict_to(spec.extent), self.measure, spec)
+            }
+        }
     }
 }
 

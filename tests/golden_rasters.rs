@@ -23,8 +23,14 @@
 //! NN-circle build itself (static builders, engine roots unsharded and
 //! sharded, and an edit's re-resolved circles) before any rendering;
 //! `GOLDEN_SWEEP` pins CREST's and CREST-A's label streams, in
-//! emission order, with their sweep statistics.
+//! emission order, with their sweep statistics. `GOLDEN_PAYLOAD` pins
+//! the cached tile payloads (bytes, form, repeated rows, pixels) of the
+//! scanline renders and of an engine viewport.
 
+use rnn_heatmap::heatmap::scanline::{
+    rasterize_disks_scanline_bands, rasterize_squares_scanline_bands,
+};
+use rnn_heatmap::heatmap::TilePayload;
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::HeatMapBuilder;
 use rnnhm_core::arrangement::fnv1a_words;
@@ -489,6 +495,122 @@ fn golden_sweeps_are_stable() {
     assert_eq!(GOLDEN_SWEEP.len(), SWEEP_INSTANCES.len() * SWEEP_METRICS.len() * SWEEP_KS.len());
 }
 
+/// The measures of the payload goldens (weighted is non-dyadic, so its
+/// pixels' last bits depend on the scanline's event order).
+const PAYLOAD_MEASURES: [&str; 3] = ["count", "weighted", "capacity"];
+
+/// Tile grids of the payload goldens: the whole map coarse (short
+/// runs), a zoomed 256² tile (long runs), a non-square strip and a
+/// grid with sides below 16 px.
+fn payload_specs() -> [GridSpec; 4] {
+    [
+        spec(),
+        GridSpec::new(256, 256, Rect::new(3.0, 5.0, 3.0, 5.0)),
+        GridSpec::new(40, 12, Rect::new(0.0, 10.0, 4.0, 7.0)),
+        GridSpec::new(7, 5, Rect::new(2.0, 3.0, 2.0, 3.0)),
+    ]
+}
+
+/// Folds one encoded payload into `words`: its cache bytes, its form,
+/// which rows repeat the row above, and every decoded pixel's bits.
+fn payload_words(p: &TilePayload, words: &mut Vec<u64>) {
+    let spec = p.spec();
+    words.extend([spec.width as u64, spec.height as u64, p.bytes() as u64, p.quantized() as u64]);
+    words.extend((0..spec.height).map(|r| p.row_repeats(r) as u64));
+    words.extend(p.to_raster().values().iter().map(|v| v.to_bits()));
+}
+
+/// Tile payloads of one measure/metric, hashed:
+/// 1. [`TilePayload::encode`] of single-band scanline renders of
+///    [`payload_specs`], folded by [`payload_words`];
+/// 2. the engine's tile path: the frame of one cold 300×300 viewport,
+///    then the cache's `bytes_quantized` and `bytes_exact`.
+fn payload_hash<M: IncrementalMeasure + Sync>(metric: Metric, measure: M) -> u64 {
+    let (clients, facilities) = instance();
+    let mut words = Vec::new();
+    for spec in payload_specs() {
+        let raster = match metric {
+            Metric::L2 => {
+                let arr = build_disk_arrangement_k(&clients, &facilities, Mode::Bichromatic, 1)
+                    .expect("buildable instance");
+                rasterize_disks_scanline_bands(&arr, &measure, spec, 1)
+            }
+            m => {
+                let arr =
+                    build_square_arrangement_k(&clients, &facilities, m, Mode::Bichromatic, 1)
+                        .expect("buildable instance");
+                rasterize_squares_scanline_bands(&arr, &measure, spec, 1)
+            }
+        };
+        payload_words(&TilePayload::encode(raster, measure.integral_influence()), &mut words);
+    }
+    let session = HeatMapBuilder::bichromatic(clients, facilities)
+        .metric(metric)
+        .build(measure)
+        .expect("buildable instance");
+    let frame = session.viewport(Rect::new(1.0, 9.0, 1.0, 9.0), 300, 300);
+    words.extend([frame.spec.width as u64, frame.spec.height as u64]);
+    words.extend(frame.values().iter().map(|v| v.to_bits()));
+    let stats = session.cache_stats();
+    words.extend([stats.bytes_quantized as u64, stats.bytes_exact as u64]);
+    fnv1a_words(words)
+}
+
+/// [`payload_hash`] of one measure key.
+fn payload_hash_of(measure_key: &str, metric: Metric) -> u64 {
+    let n = instance().0.len();
+    match measure_key {
+        "count" => payload_hash(metric, CountMeasure),
+        "weighted" => {
+            let weights: Vec<f64> = (0..n).map(|i| 0.5 + (i * 37 % 97) as f64 / 97.0).collect();
+            payload_hash(metric, WeightedMeasure::new(weights))
+        }
+        "capacity" => {
+            let assigned: Vec<u32> = (0..n as u32).map(|i| i % 7).collect();
+            let capacities: Vec<u32> = (0..7u32).map(|f| 1 + f % 5).collect();
+            payload_hash(metric, CapacityMeasure::new(assigned, capacities, 3))
+        }
+        other => panic!("unknown payload measure key {other}"),
+    }
+}
+
+/// Golden tile payloads: (measure, metric, [`payload_hash`]). They pin
+/// the payload bytes of every tile-render path, not just the pixels.
+/// Regenerated with the other tables.
+const GOLDEN_PAYLOAD: &[(&str, &str, u64)] = &[
+    ("count", "L1", 0x923d5bf7413f075e),
+    ("count", "L2", 0x43c85ffbc9c23577),
+    ("count", "Linf", 0xb96cce74f0eea19f),
+    ("weighted", "L1", 0x8e691a84c49a5f34),
+    ("weighted", "L2", 0x60c074cfdf2bfb52),
+    ("weighted", "Linf", 0x3ed916ae06b57597),
+    ("capacity", "L1", 0xa5ad67e680ce45b3),
+    ("capacity", "L2", 0x8d3e798019673652),
+    ("capacity", "Linf", 0x7c441dd0d5960a78),
+];
+
+#[test]
+fn golden_payloads_are_stable() {
+    for measure in PAYLOAD_MEASURES {
+        for metric in Metric::ALL {
+            let name = metric_name(metric);
+            let got = payload_hash_of(measure, metric);
+            let expect = GOLDEN_PAYLOAD
+                .iter()
+                .find(|(m, n, _)| *m == measure && *n == name)
+                .unwrap_or_else(|| panic!("no golden payload for {measure}/{name}"))
+                .2;
+            assert_eq!(
+                got, expect,
+                "golden payload changed for {measure}/{name}: got {got:#018x}. If this is an \
+                 intentional output change, regenerate with `cargo test --test golden_rasters -- \
+                 --ignored --nocapture` (see module docs)."
+            );
+        }
+    }
+    assert_eq!(GOLDEN_PAYLOAD.len(), PAYLOAD_MEASURES.len() * Metric::ALL.len());
+}
+
 #[test]
 fn k_goldens_differ_from_k1() {
     // Sanity on the new table: the RkNN circles genuinely change the
@@ -562,6 +684,13 @@ fn regen_golden_hashes() {
                     rows.join(", ")
                 );
             }
+        }
+    }
+    println!("--- GOLDEN_PAYLOAD ---");
+    for measure in PAYLOAD_MEASURES {
+        for metric in Metric::ALL {
+            let hash = payload_hash_of(measure, metric);
+            println!("    (\"{measure}\", \"{}\", {hash:#018x}),", metric_name(metric));
         }
     }
 }
