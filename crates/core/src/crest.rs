@@ -26,6 +26,12 @@
 //! sweep position* — for sides that are the last of a run of equal
 //! y-values, which are the only ones ever consulted.
 //!
+//! `P` is a `Records` table: writing `P[s]` copies the base set into a
+//! buffer that `s` keeps while it is in the line, and a side leaving the
+//! line returns its buffer for reuse. So a sweep allocates one buffer
+//! per line-status side at its peak (`SweepStats::peak_line`), not one
+//! per walked side.
+//!
 //! The line status `T` is a [`BTreeSet`]. Algorithm 1 asks of `T` only
 //! a balanced search tree with ordered walks ("e.g., a B+-tree"):
 //! O(log n) insert and remove, an O(log n) search for the first side ≥
@@ -41,7 +47,7 @@ use rnnhm_index::interval::{merge_intervals, Interval};
 
 use crate::arrangement::SquareArrangement;
 use crate::measure::InfluenceMeasure;
-use crate::rnnset::RnnSet;
+use crate::rnnset::{Records, RnnSet};
 use crate::sink::RegionSink;
 use crate::stats::SweepStats;
 
@@ -106,10 +112,19 @@ pub fn crest_sweep<M: InfluenceMeasure, S: RegionSink>(
     measure: &M,
     sink: &mut S,
 ) -> SweepStats {
+    crest_sweep_with(arr, measure, sink, &mut Records::new(arr.squares.len() * 2))
+}
+
+/// [`crest_sweep`] over a given empty record table, which the caller can
+/// inspect afterwards.
+pub(crate) fn crest_sweep_with<M: InfluenceMeasure, S: RegionSink>(
+    arr: &SquareArrangement,
+    measure: &M,
+    sink: &mut S,
+    records: &mut Records,
+) -> SweepStats {
     let events = build_events(arr);
-    let n_sides = arr.squares.len() * 2;
     let mut t: BTreeSet<SideKey> = BTreeSet::new();
-    let mut records: Vec<Option<Vec<u32>>> = vec![None; n_sides];
     let mut base = RnnSet::new(arr.n_clients);
     let mut stats = SweepStats::default();
     let mut intervals: Vec<Interval> = Vec::new();
@@ -132,8 +147,8 @@ pub fn crest_sweep<M: InfluenceMeasure, S: RegionSink>(
                 let rem_l = t.remove(&kl);
                 let rem_u = t.remove(&ku);
                 debug_assert!(rem_l && rem_u, "removing absent side keys");
-                records[kl.record_slot()] = None;
-                records[ku.record_slot()] = None;
+                records.remove(kl.record_slot());
+                records.remove(ku.record_slot());
             }
             intervals.push(Interval::new(s.y_lo, s.y_hi));
             i += 1;
@@ -145,18 +160,7 @@ pub fn crest_sweep<M: InfluenceMeasure, S: RegionSink>(
         // Merge and process the changed intervals (lines 15–30).
         merge_intervals(&mut intervals);
         for iv in &intervals {
-            process_interval(
-                arr,
-                &t,
-                iv,
-                &mut records,
-                &mut base,
-                measure,
-                sink,
-                x,
-                x_next,
-                &mut stats,
-            );
+            process_interval(arr, &t, iv, records, &mut base, measure, sink, x, x_next, &mut stats);
         }
     }
     debug_assert!(t.is_empty(), "line status must drain after the last event");
@@ -170,7 +174,7 @@ fn process_interval<M: InfluenceMeasure, S: RegionSink>(
     arr: &SquareArrangement,
     t: &BTreeSet<SideKey>,
     iv: &Interval,
-    records: &mut [Option<Vec<u32>>],
+    records: &mut Records,
     base: &mut RnnSet,
     measure: &M,
     sink: &mut S,
@@ -194,8 +198,8 @@ fn process_interval<M: InfluenceMeasure, S: RegionSink>(
     // the interval (§V-C2), or ∅ at the bottom of the line status.
     match t.range(..probe).next_back() {
         Some(pk) => {
-            let rec = records[pk.record_slot()]
-                .as_ref()
+            let rec = records
+                .get(pk.record_slot())
                 .expect("invariant: predecessor of a changed interval has a record");
             base.load(rec);
         }
@@ -212,7 +216,7 @@ fn process_interval<M: InfluenceMeasure, S: RegionSink>(
             let added = base.add(owner);
             debug_assert!(added, "entering a circle twice");
         }
-        records[k.record_slot()] = Some(base.snapshot());
+        records.write(k.record_slot(), base.members());
         if let Some(nk) = walk.peek() {
             if k.y < nk.y {
                 // A valid pair entirely inside the interval: label it.

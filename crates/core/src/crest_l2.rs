@@ -38,14 +38,18 @@
 //! two new arcs; a repaired inversion dirties the span it moved; a
 //! removal dirties nothing (the two arcs of a circle are adjacent at its
 //! right extreme — unlike squares, whose right side is an extended
-//! segment).
+//! segment). The cached sets live in the same `Records` table, so here
+//! too a sweep allocates one record buffer per arc in the line at its
+//! peak, not one per walked arc; the per-batch lists (inserted disks,
+//! degenerate removals, dirty ranges) are emptied and refilled rather
+//! than allocated per batch.
 
 use rnnhm_geom::{Circle, Rect};
 use rnnhm_index::RTree;
 
 use crate::arrangement::DiskArrangement;
 use crate::measure::InfluenceMeasure;
-use crate::rnnset::RnnSet;
+use crate::rnnset::{Records, RnnSet};
 use crate::sink::RegionSink;
 use crate::stats::SweepStats;
 
@@ -168,14 +172,15 @@ impl LineStatus {
         self.reindex_from(p);
     }
 
-    /// Removes both arcs of `disk`, returning the slots that sat strictly
-    /// between them (non-empty only in degenerate inputs).
-    fn remove_disk(&mut self, disk: u32) -> Vec<Slot> {
+    /// Removes both arcs of `disk`. When two or more slots sat strictly
+    /// between them (degenerate inputs only), returns the lowest and the
+    /// highest of those.
+    fn remove_disk(&mut self, disk: u32) -> Option<(Slot, Slot)> {
         let pl = self.pos[slot(disk, false) as usize];
         let pu = self.pos[slot(disk, true) as usize];
         debug_assert!(pl != ABSENT && pu != ABSENT, "removing absent disk arcs");
         let (lo, hi) = (pl.min(pu), pl.max(pu));
-        let between: Vec<Slot> = self.line[lo + 1..hi].to_vec();
+        let between = (hi - lo >= 3).then(|| (self.line[lo + 1], self.line[hi - 1]));
         self.line.remove(hi);
         self.line.remove(lo);
         self.pos[slot(disk, false) as usize] = ABSENT;
@@ -245,12 +250,26 @@ pub fn crest_l2_sweep<M: InfluenceMeasure, S: RegionSink>(
     measure: &M,
     sink: &mut S,
 ) -> SweepStats {
+    crest_l2_sweep_with(arr, measure, sink, &mut Records::new(arr.disks.len() * 2))
+}
+
+/// [`crest_l2_sweep`] over a given empty record table, which the caller
+/// can inspect afterwards.
+pub(crate) fn crest_l2_sweep_with<M: InfluenceMeasure, S: RegionSink>(
+    arr: &DiskArrangement,
+    measure: &M,
+    sink: &mut S,
+    records: &mut Records,
+) -> SweepStats {
     let events = build_events(arr);
     let disks = &arr.disks;
     let mut status = LineStatus::new(disks.len());
-    let mut records: Vec<Option<Vec<u32>>> = vec![None; disks.len() * 2];
     let mut base = RnnSet::new(arr.n_clients);
     let mut stats = SweepStats::default();
+    // Per-batch scratch, emptied and refilled by every batch.
+    let mut inserted: Vec<u32> = Vec::new();
+    let mut removal_between: Vec<(Slot, Slot)> = Vec::new();
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
 
     let mut i = 0;
     while i < events.len() {
@@ -263,18 +282,16 @@ pub fn crest_l2_sweep<M: InfluenceMeasure, S: RegionSink>(
         let mid = (x + x_next) * 0.5;
 
         // Apply structural changes at this x.
-        let mut inserted: Vec<u32> = Vec::new();
-        let mut removal_between: Vec<(Slot, Slot)> = Vec::new();
+        inserted.clear();
+        removal_between.clear();
         for ev in &events[i..batch_end] {
             match ev.kind {
                 EventKind::Remove { disk } => {
                     let between = status.remove_disk(disk);
-                    records[slot(disk, false) as usize] = None;
-                    records[slot(disk, true) as usize] = None;
-                    if between.len() >= 2 {
-                        // Degenerate inputs only.
-                        removal_between.push((between[0], between[between.len() - 1]));
-                    }
+                    records.remove(slot(disk, false) as usize);
+                    records.remove(slot(disk, true) as usize);
+                    // Degenerate inputs only.
+                    removal_between.extend(between);
                 }
                 EventKind::Cross => {} // strip delimiter; repair reorders
                 EventKind::Insert { disk } => {
@@ -292,14 +309,14 @@ pub fn crest_l2_sweep<M: InfluenceMeasure, S: RegionSink>(
 
         // Restore sorted order at the new strip midline; moved spans and
         // freshly inserted pairs become the dirty ranges.
-        let mut ranges: Vec<(usize, usize)> = Vec::new();
+        ranges.clear();
         status.repair(disks, mid, &mut ranges);
-        for disk in inserted {
+        for &disk in &inserted {
             let pl = status.pos[slot(disk, false) as usize];
             let pu = status.pos[slot(disk, true) as usize];
             ranges.push((pl.min(pu), pl.max(pu)));
         }
-        for (a, b) in removal_between {
+        for &(a, b) in &removal_between {
             let pa = status.pos[a as usize];
             let pb = status.pos[b as usize];
             if pa != ABSENT && pb != ABSENT {
@@ -308,12 +325,12 @@ pub fn crest_l2_sweep<M: InfluenceMeasure, S: RegionSink>(
         }
         merge_ranges(&mut ranges);
 
-        for (a, b) in ranges {
+        for &(a, b) in &ranges {
             // Base set: cached RNN set of the pair below the range.
             if a > 0 {
                 let below = status.line[a - 1];
-                let rec = records[below as usize]
-                    .as_ref()
+                let rec = records
+                    .get(below as usize)
                     .expect("invariant: arc below a changed range has a record");
                 base.load(rec);
             } else {
@@ -327,7 +344,7 @@ pub fn crest_l2_sweep<M: InfluenceMeasure, S: RegionSink>(
                 } else {
                     base.add(owner);
                 }
-                records[s as usize] = Some(base.snapshot());
+                records.write(s as usize, base.members());
                 if p < b {
                     let y_lo = status.ys[p];
                     let y_hi = status.ys[p + 1].max(y_lo);

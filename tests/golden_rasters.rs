@@ -22,10 +22,11 @@
 //! against the per-pixel oracle first). `GOLDEN_BUILD` pins the
 //! NN-circle build itself (static builders, engine roots unsharded and
 //! sharded, and an edit's re-resolved circles) before any rendering;
-//! `GOLDEN_SWEEP` pins CREST's and CREST-A's label streams, in
-//! emission order, with their sweep statistics. `GOLDEN_PAYLOAD` pins
-//! the cached tile payloads (bytes, form, repeated rows, pixels) of the
-//! scanline renders and of an engine viewport.
+//! `GOLDEN_SWEEP` pins the label streams of CREST and CREST-A (L∞, L1)
+//! and of CREST-L2 and its full sweep (L2), in emission order, with
+//! their sweep statistics. `GOLDEN_PAYLOAD` pins the cached tile
+//! payloads (bytes, form, repeated rows, pixels) of the scanline
+//! renders and of an engine viewport.
 
 use rnn_heatmap::heatmap::scanline::{
     rasterize_disks_scanline_bands, rasterize_squares_scanline_bands,
@@ -34,6 +35,7 @@ use rnn_heatmap::heatmap::TilePayload;
 use rnn_heatmap::prelude::*;
 use rnn_heatmap::HeatMapBuilder;
 use rnnhm_core::arrangement::fnv1a_words;
+use rnnhm_core::crest_l2::crest_l2_full_sweep;
 
 /// `n_clients` clients, then `n_facilities` facilities, from a fixed
 /// LCG seeded with `seed` on [0, 10]².
@@ -424,19 +426,22 @@ impl RegionSink for StreamHash {
 /// 2,000 clients + 200 facilities from another LCG seed.
 const SWEEP_INSTANCES: [&str; 2] = ["golden", "lcg2k"];
 
-/// The metrics and RkNN depths of the sweep goldens (the line-status
-/// sweeps run on squares: L∞ directly, L1 in the rotated frame).
-const SWEEP_METRICS: [Metric; 2] = [Metric::Linf, Metric::L1];
+/// The metrics and RkNN depths of the sweep goldens: the line-status
+/// sweeps on squares (L∞ directly, L1 in the rotated frame) and the
+/// position-ordered sweeps on disks (L2).
+const SWEEP_METRICS: [Metric; 3] = [Metric::Linf, Metric::L1, Metric::L2];
 const SWEEP_KS: [usize; 2] = [1, 2];
 
 /// One sweep's pinned output: its [`StreamHash`] and its `SweepStats`
 /// as `[labels, events, max_rnn, peak_line]`.
 type SweepBits = (u64, [u64; 4]);
 
-/// CREST's and CREST-A's label streams on one (instance, metric, k).
-/// The weights are non-dyadic, so each influence's last bit also
-/// depends on the order of the RNN ids.
-fn sweep_hashes(instance_key: &str, metric: Metric, k: usize) -> [SweepBits; 2] {
+/// One sweep's label stream on one (instance, metric, k): the
+/// changed-interval sweep (CREST on squares, `crest_l2_sweep` on disks)
+/// or, with `full`, the sweep that relabels every pair of every strip
+/// (CREST-A, `crest_l2_full_sweep`). The weights are non-dyadic, so each
+/// influence's last bit also depends on the order of the RNN ids.
+fn sweep_bits(instance_key: &str, metric: Metric, k: usize, full: bool) -> SweepBits {
     let (clients, facilities) = match instance_key {
         "golden" => instance(),
         "lcg2k" => lcg_instance(0x0005_ee9d_2000, 2_000, 200),
@@ -444,18 +449,30 @@ fn sweep_hashes(instance_key: &str, metric: Metric, k: usize) -> [SweepBits; 2] 
     };
     let weights: Vec<f64> = (0..clients.len()).map(|i| 0.5 + (i * 37 % 97) as f64 / 97.0).collect();
     let measure = WeightedMeasure::new(weights);
-    let arr = build_square_arrangement_k(&clients, &facilities, metric, Mode::Bichromatic, k)
-        .expect("buildable instance");
-    let words = |s: SweepStats| [s.labels, s.events, s.max_rnn as u64, s.peak_line as u64];
-    let mut crest = StreamHash(0);
-    let crest_stats = crest_sweep(&arr, &measure, &mut crest);
-    let mut crest_a = StreamHash(0);
-    let crest_a_stats = crest_a_sweep(&arr, &measure, &mut crest_a);
-    [(crest.0, words(crest_stats)), (crest_a.0, words(crest_a_stats))]
+    let mut hash = StreamHash(0);
+    let s = if metric == Metric::L2 {
+        let arr = build_disk_arrangement_k(&clients, &facilities, Mode::Bichromatic, k)
+            .expect("buildable instance");
+        if full {
+            crest_l2_full_sweep(&arr, &measure, &mut hash)
+        } else {
+            crest_l2_sweep(&arr, &measure, &mut hash)
+        }
+    } else {
+        let arr = build_square_arrangement_k(&clients, &facilities, metric, Mode::Bichromatic, k)
+            .expect("buildable instance");
+        if full {
+            crest_a_sweep(&arr, &measure, &mut hash)
+        } else {
+            crest_sweep(&arr, &measure, &mut hash)
+        }
+    };
+    (hash.0, [s.labels, s.events, s.max_rnn as u64, s.peak_line as u64])
 }
 
-/// Golden label streams: (instance, metric, k, [CREST, CREST-A]); see
-/// [`sweep_hashes`]. The placement and top-k goldens see only the
+/// Golden label streams: (instance, metric, k, [CREST, CREST-A]) for
+/// L∞ and L1, (.., [CREST-L2, its full sweep]) for L2; see
+/// [`sweep_bits`]. The placement and top-k goldens see only the
 /// labels that survive, but `TopKSink` breaks ties by first
 /// occurrence, so the emission order itself is pinned here.
 /// Regenerated with the other tables.
@@ -465,34 +482,63 @@ const GOLDEN_SWEEP: &[(&str, &str, usize, [SweepBits; 2])] = &[
     ("golden", "Linf", 2, [(0xbb612260237be7dc, [1152, 96, 39, 96]), (0x98fe84cc7357f72e, [3349, 96, 39, 96])]),
     ("golden", "L1", 1, [(0xbf652033b6bf77d2, [982, 110, 19, 70]), (0x0e0f5a1652c996d0, [3366, 110, 19, 70])]),
     ("golden", "L1", 2, [(0x9cb2e3a44f9419c5, [1373, 99, 35, 100]), (0x4224084db90c3861, [3956, 99, 35, 100])]),
+    ("golden", "L2", 1, [(0xd9323018b06b5124, [1311, 1313, 19, 76]), (0xab01f7f99897f33e, [65412, 1313, 19, 76])]),
+    ("golden", "L2", 2, [(0x292a743984b37ef7, [2264, 2248, 34, 96]), (0x251feef833a7af1e, [157469, 2248, 34, 96])]),
     ("lcg2k", "Linf", 1, [(0xb385920934a0e06b, [41885, 3181, 52, 340]), (0x471cfa06e157c70d, [649950, 3181, 52, 340])]),
     ("lcg2k", "Linf", 2, [(0xb71aaeb0eed21e70, [88739, 3154, 80, 492]), (0x3c3ca5f2577ca6b4, [962604, 3154, 80, 492])]),
     ("lcg2k", "L1", 1, [(0x85d16833ccd18611, [47418, 3313, 56, 358]), (0x47741aa52481405a, [700372, 3313, 56, 358])]),
     ("lcg2k", "L1", 2, [(0xa0c6a7f325bc3d7a, [103199, 3311, 78, 528]), (0xf75ae3ccd4c60577, [1063572, 3311, 78, 528])]),
+    ("lcg2k", "L2", 1, [(0xd945adb60eecf20d, [63300, 63013, 53, 370]), (0x9f557c38c8579757, [18589806, 63013, 53, 370])]),
+    ("lcg2k", "L2", 2, [(0x40c6d5869c95924c, [137329, 137075, 78, 550]), (0x75476fba681ff1c5, [59938786, 137075, 78, 550])]),
 ];
 
-#[test]
-fn golden_sweeps_are_stable() {
+/// Whether a sweep golden is checked only in optimized builds: the
+/// full L2 sweep on `lcg2k` emits 78.5M labels (k = 1 and 2), which
+/// take minutes to hash unoptimized and ~15 s optimized.
+fn optimized_only(instance_key: &str, metric: Metric, full: bool) -> bool {
+    instance_key == "lcg2k" && metric == Metric::L2 && full
+}
+
+/// Checks every sweep golden that `pick(instance, metric, full)` selects.
+fn check_golden_sweeps(pick: impl Fn(&str, Metric, bool) -> bool) {
+    assert_eq!(GOLDEN_SWEEP.len(), SWEEP_INSTANCES.len() * SWEEP_METRICS.len() * SWEEP_KS.len());
     for instance_key in SWEEP_INSTANCES {
         for metric in SWEEP_METRICS {
             for k in SWEEP_KS {
-                let got = sweep_hashes(instance_key, metric, k);
                 let name = metric_name(metric);
                 let expect = GOLDEN_SWEEP
                     .iter()
                     .find(|(gi, gn, gk, _)| *gi == instance_key && *gn == name && *gk == k)
                     .unwrap_or_else(|| panic!("no golden sweep for {instance_key}/{name}/k={k}"))
                     .3;
-                assert_eq!(
-                    got, expect,
-                    "golden sweep changed for {instance_key}/{name}/k={k}: got {got:x?}. If this \
-                     is an intentional output change, regenerate with `cargo test --test \
-                     golden_rasters -- --ignored --nocapture` (see module docs)."
-                );
+                for (full, expect) in [false, true].into_iter().zip(expect) {
+                    if !pick(instance_key, metric, full) {
+                        continue;
+                    }
+                    let got = sweep_bits(instance_key, metric, k, full);
+                    assert_eq!(
+                        got, expect,
+                        "golden sweep changed for {instance_key}/{name}/k={k} (full: {full}): got \
+                         {got:x?}. If this is an intentional output change, regenerate with \
+                         `cargo test --test golden_rasters -- --ignored --nocapture` (see module \
+                         docs)."
+                    );
+                }
             }
         }
     }
-    assert_eq!(GOLDEN_SWEEP.len(), SWEEP_INSTANCES.len() * SWEEP_METRICS.len() * SWEEP_KS.len());
+}
+
+#[test]
+fn golden_sweeps_are_stable() {
+    check_golden_sweeps(|instance_key, metric, full| !optimized_only(instance_key, metric, full));
+}
+
+/// The rest of `GOLDEN_SWEEP`; CI's release steps run it.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "78.5M labels: minutes unoptimized; run with --release")]
+fn golden_full_l2_sweeps_on_lcg2k_are_stable() {
+    check_golden_sweeps(optimized_only);
 }
 
 /// The measures of the payload goldens (weighted is non-dyadic, so its
@@ -674,7 +720,8 @@ fn regen_golden_hashes() {
     for instance_key in SWEEP_INSTANCES {
         for metric in SWEEP_METRICS {
             for k in SWEEP_KS {
-                let rows: Vec<String> = sweep_hashes(instance_key, metric, k)
+                let rows: Vec<String> = [false, true]
+                    .map(|full| sweep_bits(instance_key, metric, k, full))
                     .iter()
                     .map(|(h, s)| format!("({h:#018x}, {s:?})"))
                     .collect();

@@ -187,7 +187,7 @@ proptest! {
         for id in 0..500u32 {
             prop_assert_eq!(s.contains(id), ids.contains(&id));
         }
-        let mut snap = s.snapshot();
+        let mut snap = s.members().to_vec();
         snap.sort_unstable();
         let mut expect = v.clone();
         expect.sort_unstable();
